@@ -51,7 +51,11 @@ def _load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict) or "scenario" not in raw:
         raise ConfigError("config must be an object with a 'scenario' field")
-    return ScenarioConfig(raw["scenario"], raw.get("params", {}), int(raw.get("seed", 0)))
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be an integer: {exc}") from exc
+    return ScenarioConfig(raw["scenario"], raw.get("params", {}), seed)
 
 
 def render_report(report: Report, fmt: str) -> str:

@@ -577,9 +577,12 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> Report:
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
     sc = SCENARIOS[cfg.scenario]
-    params = sc.validate(dict(cfg.params or {}))
-    t0 = time.perf_counter()
-    ctx, derived = sc.build(params, cfg.seed)
+    try:
+        params = sc.validate(dict(cfg.params or {}))
+        t0 = time.perf_counter()
+        ctx, derived = sc.build(params, cfg.seed)
+    except ValueError as exc:  # a malformed value or one the build rejects
+        raise ConfigError(str(exc)) from exc
     n_trials = params.get("trials", 1)
     if jobs > 1 and n_trials > 1:
         bounds = np.linspace(0, n_trials, min(jobs, n_trials) + 1).astype(int)

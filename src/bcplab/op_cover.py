@@ -785,7 +785,7 @@ def linf_sum_cover(coverings) -> BallCovering:
     full_dim = start
     balls = []
     for k, cov in enumerate(coverings):
-        if classify_is_inadmissible(cov):
+        if cov.origin_gap <= STRICT_SLACK:
             raise ValueError(f"block {k} covering is not admissible")
         for b in cov.balls:
             nrm = norm_of(blocks[k], b.center)
@@ -797,10 +797,6 @@ def linf_sum_cover(coverings) -> BallCovering:
             embedded[offsets[k]:offsets[k] + _dim(blocks[k])] = scaled
             balls.append((embedded, new_norm - mu))
     return make_covering(sum_space, balls)
-
-
-def classify_is_inadmissible(cov: BallCovering) -> bool:
-    return cov.origin_gap <= STRICT_SLACK
 
 
 def columns_as_linf_sum(A: np.ndarray) -> tuple:

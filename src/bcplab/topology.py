@@ -373,10 +373,6 @@ def is_continuous_map(point_map: PointMap) -> ContinuityCheck:
     return ContinuityCheck(True, None)
 
 
-def identity_map(space: FiniteSpace) -> PointMap:
-    return PointMap(space, space, tuple(range(space.n)))
-
-
 def compose(inner: PointMap, outer: PointMap) -> PointMap:
     """outer after inner; requires inner.target == outer.source."""
     if inner.target is not outer.source and inner.target.points != outer.source.points:

@@ -148,6 +148,19 @@ class TestCli:
         assert cli.main(["run", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        # the build rejects r_star 0.5 above the x_dim 3 covering's origin gap
+        {"scenario": "ckx_cover", "params": {"x_dim": 3}, "seed": 1},
+        {"scenario": "ck_cover", "params": {"lam": "abc"}, "seed": 1},
+        {"scenario": "topology", "params": {"kind": "convergent_model", "N": 30},
+         "seed": 1},
+        {"scenario": "ck_cover", "params": {}, "seed": "x"},
+    ], ids=["ckx_r_star_above_gap", "lam_not_a_number", "topology_too_large",
+            "seed_not_an_integer"])
+    def test_malformed_config_exit_two(self, tmp_path, capsys, payload):
+        assert cli.main(["run", "--config", self.write_cfg(tmp_path, payload)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert cli.main(["run", "--config", "/nonexistent.json"]) == 2
 

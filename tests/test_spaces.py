@@ -6,7 +6,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcplab import op_cover as oc
 from bcplab import spaces as sp
+
+
+def _certify_point_reference(c, v):
+    """The first-hit rule one ball at a time: the reference for the block kernel."""
+    v = np.asarray(v, dtype=float)
+    boundary = None
+    min_excess, nearest = math.inf, -1
+    for k, b in enumerate(c.balls):
+        d = sp.norm_of(c.space, v - b.center)
+        excess = d - b.radius
+        if excess < min_excess:
+            min_excess, nearest = excess, k
+        if d <= b.radius - sp.STRICT_SLACK:
+            return sp.CoverCertificate(v, k, d, b.radius - d)
+        if d <= b.radius and boundary is None:
+            boundary = sp.CoverCertificate(v, k, d, b.radius - d)
+    if boundary is not None:
+        return boundary
+    raise sp.NotCovered(min_excess, nearest)
+
+
+def _outcome(certify, c, v):
+    """Everything a certificate or a miss carries, as a comparable tuple."""
+    try:
+        cert = certify(c, v)
+    except sp.NotCovered as exc:
+        return ("miss", exc.min_excess, exc.nearest_index)
+    return ("hit", cert.ball_index, cert.distance, cert.margin)
 
 
 class TestNorms:
@@ -68,6 +97,13 @@ class TestNorms:
             batch = sp.norms_rows(space, X)
             for i in range(50):
                 assert batch[i] == pytest.approx(sp.norm_of(space, X[i]), abs=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 1.1, 1.5, 2.0, 2.5, 3.0, math.inf])
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_norms_rows_equal_lp_norm_bitwise(self, n, p):
+        V = np.random.default_rng(n).standard_normal((1000, n))
+        batch = sp.norms_rows(sp.lp(n, p), V)
+        assert [float(x) for x in batch] == [sp.lp_norm(row, p) for row in V]
 
 
 class TestSampler:
@@ -164,14 +200,16 @@ class TestCertify:
         assert cert.margin > 0.5
 
     def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(11)
-        pts = np.stack([sp.sample_sphere(self.space, s) for s in range(64)])
-        batch = sp.certify_points(self.cov, pts)
-        for i in range(64):
-            one = sp.certify_point(self.cov, pts[i])
-            assert batch[i] is not None
-            assert batch[i].ball_index == one.ball_index
-            assert batch[i].distance == pytest.approx(one.distance, abs=1e-12)
+        lp15 = sp.make_covering(sp.lp(2, 1.5), [(b.center, 1.75) for b in self.cov.balls])
+        for cov in (self.cov, lp15):
+            pts = np.stack([sp.sample_sphere(cov.space, s) for s in range(200)])
+            batch = sp.certify_points(cov, pts)
+            for i in range(200):
+                one = _certify_point_reference(cov, pts[i])
+                assert batch[i] is not None
+                assert batch[i].ball_index == one.ball_index
+                assert batch[i].distance == one.distance
+                assert batch[i].margin == one.margin
 
     def test_batch_reports_misses(self):
         space = sp.lp(2, 2)
@@ -179,6 +217,100 @@ class TestCertify:
         out = sp.certify_points(cov, [[-1.0, 0.0], [3.5, 0.0]])
         assert out[0] is None
         assert out[1] is not None
+
+
+class TestCertifyKernel:
+    """certify_point against the per-ball reference, compared exactly."""
+
+    @staticmethod
+    def _random_covering(space, k, seed):
+        # centers at norm 2 with radii mostly too small to reach the sphere:
+        # hits land anywhere in the list, in any block, and some points miss
+        rng = np.random.default_rng(seed)
+        return sp.make_covering(space, [
+            (2.0 * sp.sample_sphere(space, int(s)), float(r))
+            for s, r in zip(rng.integers(2**32, size=k), rng.uniform(0.2, 1.1, size=k))])
+
+    @pytest.mark.parametrize("space", [
+        sp.lp(3, 1.0), sp.lp(3, 1.5), sp.lp(3, 2.0), sp.lp(3, 3.0), sp.lp(3, math.inf),
+        sp.sup_grid(6), sp.linf_sum([sp.lp(3, 1.5), sp.lp(3, 3.0), sp.lp(2, 1.0)]),
+    ], ids=repr)
+    def test_matches_reference(self, space):
+        cov = self._random_covering(space, 3 * sp._BLOCK, seed=sp.dim(space))
+        outcomes = []
+        for s in range(120):
+            v = sp.sample_sphere(space, s)
+            out = _outcome(sp.certify_point, cov, v)
+            assert out == _outcome(_certify_point_reference, cov, v)
+            outcomes.append(out)
+        # the sample reaches a later block and the miss path
+        assert any(o[0] == "hit" and o[1] >= sp._BLOCK for o in outcomes)
+        assert any(o[0] == "miss" for o in outcomes)
+
+    def _far_covering(self, extra):
+        """sup_grid(2) balls that all miss [0.4, 1.0], plus the given ones."""
+        balls = [(np.array([-5.0, -5.0]), 1.0)] * (3 * sp._BLOCK)
+        for k, ball in extra.items():
+            balls[k] = ball
+        return sp.make_covering(sp.sup_grid(2), balls)
+
+    def test_boundary_graze_then_strict_hit_in_next_block(self):
+        graze, strict = 100, sp._BLOCK + 44
+        cov = self._far_covering({graze: (np.array([1.2, 0.0]), 1.0),
+                                  strict: (np.array([0.0, 1.2]), 1.0)})
+        v = np.array([0.4, 1.0])
+        out = _outcome(sp.certify_point, cov, v)
+        assert out == _outcome(_certify_point_reference, cov, v)
+        assert out[:2] == ("hit", strict)
+
+    def test_first_boundary_graze_wins_without_strict_hit(self):
+        graze = (np.array([1.2, 0.0]), 1.0)
+        cov = self._far_covering({sp._BLOCK + 3: graze, sp._BLOCK + 7: graze,
+                                  2 * sp._BLOCK + 5: graze})
+        v = np.array([0.4, 1.0])
+        out = _outcome(sp.certify_point, cov, v)
+        assert out == _outcome(_certify_point_reference, cov, v)
+        assert out == ("hit", sp._BLOCK + 3, 1.0, 0.0)
+
+    def test_ties_for_the_minimum_excess(self):
+        # few distinct (center, radius) pairs: the least excess recurs within
+        # and across blocks, and the first ball reaching it must be reported
+        rng = np.random.default_rng(5)
+        choices = [(np.array([-3.0, 0.0]), 1.5), (np.array([-3.0, 0.5]), 1.0),
+                   (np.array([0.0, -4.0]), 1.0)]  # excess 2.5, 3, 3 at [1, 0]
+        picks = rng.integers(1, 3, size=3 * sp._BLOCK)
+        picks[rng.choice(np.arange(sp._BLOCK, 3 * sp._BLOCK), size=5)] = 0
+        cov = sp.make_covering(sp.sup_grid(2), [choices[i] for i in picks])
+        v = np.array([1.0, 0.0])
+        with pytest.raises(sp.NotCovered) as exc:
+            sp.certify_point(cov, v)
+        assert _outcome(sp.certify_point, cov, v) == _outcome(_certify_point_reference, cov, v)
+        assert exc.value.nearest_index == int(np.flatnonzero(picks == 0)[0])
+
+    def test_operator_covering_stops_at_first_strict_hit(self, monkeypatch):
+        cov = oc.hilbert_rank_one_covering(2, 1.5, 0.3)
+        calls = []
+        oracle = oc.operator_norm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(oc, "operator_norm", counted)
+        indices = set()
+        for s in range(30):
+            v = sp.sample_sphere(cov.space, s)
+            calls.clear()
+            cert = sp.certify_point(cov, v)
+            assert len(calls) == cert.ball_index + 1
+            assert cert.margin > sp.STRICT_SLACK
+            assert _outcome(sp.certify_point, cov, v) == _outcome(_certify_point_reference, cov, v)
+            indices.add(cert.ball_index)
+        assert max(indices) > 0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            sp.certify_point(sp.make_covering(sp.lp(3, 2), [([2.0, 0, 0], 1.5)]), [1.0])
 
 
 class TestScalingMargin:
