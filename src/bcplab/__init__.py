@@ -25,7 +25,6 @@ from .op_cover import (
     SphereNet,
     axis_covering,
     certify_lp_operator,
-    enumerate_lp_centers,
     hilbert_rank_one_certify,
     hilbert_rank_one_covering,
     linf_sum_cover,
@@ -55,7 +54,6 @@ from .topology import (
     FiniteSpace,
     PiBasis,
     PointMap,
-    build_finite_space,
     convergent_model,
     discrete_cube,
     is_continuous_map,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import topology
-from .seeding import derive_seed
 from .spaces import (
     BallCovering,
     LinfSumSpace,
@@ -44,11 +43,13 @@ class ScalarTransferExhausted(Exception):
 
 @dataclass(frozen=True)
 class CkCoverConfig:
-    """lam in (1, 3/2]; basis members are tuples of node indices."""
+    """lam in (1, 3/2]; basis members are tuples of node indices.
+
+    Bumps are indicators in discrete mode and tents in lipschitz mode.
+    """
 
     lam: float = 1.2
     basis: tuple | None = None  # None: singletons (discrete) / dyadic intervals
-    shape: str | None = None    # None: indicator (discrete) / tent (lipschitz)
 
 
 def singleton_basis(n: int) -> tuple:
@@ -109,7 +110,7 @@ def build_ck_cover(space: SupGridSpace, cfg: CkCoverConfig) -> BallCovering:
             basis = dyadic_interval_basis(space)
     if not basis:
         raise ValueError("the pi-basis must be nonempty")
-    shape = cfg.shape or ("indicator" if space.mode == "discrete" else "tent")
+    shape = "indicator" if space.mode == "discrete" else "tent"
     radius = max(cfg.lam - 0.5, 1.0)
     balls = []
     for member in basis:
@@ -192,24 +193,17 @@ def pibasis_witness_search(cov: BallCovering, candidate_opens,
 # vector-valued covering and transfers
 
 
-def ckx_space(n_nodes: int, x_space) -> LinfSumSpace:
-    """Grid model of X-valued functions: the sup-sum of one X block per node."""
-    return linf_sum(tuple(x_space for _ in range(n_nodes)))
-
-
-def build_ckx_cover(space: SupGridSpace, x_cov: BallCovering,
-                    basis: tuple | None = None) -> BallCovering:
+def build_ckx_cover(space: SupGridSpace, x_cov: BallCovering) -> BallCovering:
     """Covering of the X-valued sphere by bump-times-center products.
 
-    Needs every X ball to satisfy 1 < r_t < |x_t| (rescale_covering puts an
+    The X-valued grid model is the sup-sum of one X block per node. Needs
+    every X ball to satisfy 1 < r_t < |x_t| (rescale_covering puts an
     arbitrary admissible covering into this position). Ball (n, t) has
-    center f_n * x_t with a norm-one indicator bump f_n and radius
+    center f_n * x_t with the norm-one indicator f_n of node n and radius
     max((|x_t| + r_t) / 2, 1).
     """
     if space.mode != "discrete":
         raise ValueError("the vector-valued builder uses discrete grid models")
-    if basis is None:
-        basis = singleton_basis(space.n)
     x_space = x_cov.space
     x_dim = len(x_cov.balls[0].center)
     for t, b in enumerate(x_cov.balls):
@@ -217,14 +211,13 @@ def build_ckx_cover(space: SupGridSpace, x_cov: BallCovering,
         if not 1.0 < b.radius < nrm:
             raise ValueError(
                 f"X ball {t} violates 1 < r < |x| (r={b.radius:.6g}, |x|={nrm:.6g})")
-    sum_space = ckx_space(space.n, x_space)
+    sum_space = linf_sum(tuple(x_space for _ in range(space.n)))
     balls = []
-    for member in basis:
+    for i in range(space.n):
         for b in x_cov.balls:
             nrm = norm_of(x_space, b.center)
             center = np.zeros(space.n * x_dim)
-            for i in member:
-                center[i * x_dim:(i + 1) * x_dim] = b.center
+            center[i * x_dim:(i + 1) * x_dim] = b.center
             balls.append((center, max((nrm + b.radius) / 2.0, 1.0)))
     return make_covering(sum_space, balls)
 

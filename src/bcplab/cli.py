@@ -49,13 +49,16 @@ def _load_config(path: str) -> ScenarioConfig:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict) or "scenario" not in raw:
-        raise ConfigError("config must be an object with a 'scenario' field")
+    if not isinstance(raw, dict) or not isinstance(raw.get("scenario"), str):
+        raise ConfigError("config must be an object with a string 'scenario' field")
+    params = raw.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("config 'params' must be an object")
     try:
         seed = int(raw.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"seed must be an integer: {exc}") from exc
-    return ScenarioConfig(raw["scenario"], raw.get("params", {}), seed)
+    return ScenarioConfig(raw["scenario"], params, seed)
 
 
 def render_report(report: Report, fmt: str) -> str:

@@ -75,11 +75,23 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _integer(value, name: str) -> int:
+    _require(not isinstance(value, float) or value.is_integer(),
+             f"{name} must be an integer")
+    return int(value)
+
+
 def _int(params, key, default, low=1, high=None):
-    v = int(params.get(key, default))
+    v = _integer(params.get(key, default), key)
     _require(v >= low, f"{key} must be at least {low}")
     if high is not None:
         _require(v <= high, f"{key} must be at most {high}")
+    return v
+
+
+def _real(params, key, default) -> float:
+    v = float(params.get(key, default))
+    _require(math.isfinite(v), f"{key} must be finite")
     return v
 
 
@@ -152,13 +164,13 @@ def _t_lemma(space, index, trial_seed):
 
 def _v_ck_cover(params):
     out = {"nodes": _int(params, "nodes", 8, 1),
-           "lam": float(params.get("lam", 1.2)),
+           "lam": _real(params, "lam", 1.2),
            "trials": _int(params, "trials", 1000, 1),
            "mode": params.get("mode", "discrete")}
     _require(1.0 < out["lam"] <= 1.5, "lam must lie in (1, 3/2]")
     _require(out["mode"] in ("discrete", "lipschitz"), "mode must be discrete or lipschitz")
     if out["mode"] == "lipschitz":
-        out["slope"] = float(params.get("slope", 4.0))
+        out["slope"] = _real(params, "slope", 4.0)
         _require(out["slope"] > 0, "slope must be positive")
     return out
 
@@ -167,37 +179,43 @@ def _b_ck_cover(params, seed):
     space = spaces.sup_grid(params["nodes"], params["mode"], params.get("slope"))
     cfg = ck_cover.CkCoverConfig(lam=params["lam"])
     cov = ck_cover.build_ck_cover(space, cfg)
-    basis = (ck_cover.singleton_basis(space.n) if params["mode"] == "discrete"
-             else ck_cover.dyadic_interval_basis(space))
+    # lipschitz samples must meet the pi-basis hypothesis; discrete ones always do
+    basis = (ck_cover.dyadic_interval_basis(space) if params["mode"] == "lipschitz"
+             else None)
     cls = spaces.classify_covering(cov)
-    return (space, cov, basis), {
+    return (cov, basis), {
         "balls": len(cov.balls), "radius_bound": cls.radius_bound,
         "origin_gap": cls.origin_gap, "classification": cls.label}
 
 
-def _t_ck_cover(ctx, index, trial_seed):
-    space, cov, basis = ctx
-    g = spaces.sample_sphere(space, trial_seed)
-    if space.mode == "lipschitz" and ck_cover.superlevel_member(space, basis, g) is None:
-        return {"trial": index, "status": "unmet"}
+def _certified(cov, v) -> dict:
+    """Record fields of the first ball of the covering holding v, or of the miss."""
     try:
-        cert = spaces.certify_point(cov, g)
+        cert = spaces.certify_point(cov, v)
     except spaces.NotCovered as exc:
-        return {"trial": index, "status": "falsified",
-                "min_excess": float(exc.min_excess)}
-    radius = cov.balls[cert.ball_index].radius
-    return {"trial": index, "status": "ok", "ball_index": cert.ball_index,
-            "distance": float(cert.distance), "radius": float(radius),
+        return {"status": "falsified", "min_excess": float(exc.min_excess)}
+    return {"status": "ok", "ball_index": cert.ball_index,
+            "distance": float(cert.distance),
+            "radius": float(cov.balls[cert.ball_index].radius),
             "margin": float(cert.margin), "slack": float(cert.margin)}
 
 
+def _t_cover(ctx, index, trial_seed):
+    """Sample the covering's sphere and certify; a basis marks unmet samples."""
+    cov, basis = ctx
+    g = spaces.sample_sphere(cov.space, trial_seed)
+    if basis is not None and ck_cover.superlevel_member(cov.space, basis, g) is None:
+        return {"trial": index, "status": "unmet"}
+    return {"trial": index, **_certified(cov, g)}
+
+
 def _v_ck_falsify(params):
-    out = {"nodes": _int(params, "nodes", 4, 2),
-           "zero_node": int(params.get("zero_node", params.get("nodes", 4) - 1)),
-           "lam": float(params.get("lam", 1.3)),
+    nodes = _int(params, "nodes", 4, 2)
+    out = {"nodes": nodes,
+           "zero_node": _int(params, "zero_node", nodes - 1, 0, nodes - 1),
+           "lam": _real(params, "lam", 1.3),
            "k_max": _int(params, "k_max", 64, 1),
            "trials": 1}
-    _require(0 <= out["zero_node"] < out["nodes"], "zero_node out of range")
     _require(out["lam"] > 1.0, "lam must exceed 1")
     return out
 
@@ -234,7 +252,7 @@ def _v_ckx(params):
     out = {"nodes": _int(params, "nodes", 4, 1),
            "x_dim": _int(params, "x_dim", 2, 1),
            "x_p": _p_json(_as_p(params.get("x_p", 2.0))),
-           "r_star": float(params.get("r_star", 0.5)),
+           "r_star": _real(params, "r_star", 0.5),
            "trials": _int(params, "trials", 200, 1)}
     _require(out["r_star"] >= 0, "r_star must be nonnegative")
     return out
@@ -242,7 +260,7 @@ def _v_ckx(params):
 
 def _build_ckx_parts(params):
     x_space = spaces.lp(params["x_dim"], _as_p(params["x_p"]))
-    base = op_cover.axis_covering(x_space, 2.0)
+    base = op_cover.axis_covering(x_space)
     rescaled = spaces.rescale_covering(base, params["r_star"])
     k_space = spaces.sup_grid(params["nodes"])
     cov = ck_cover.build_ckx_cover(k_space, rescaled)
@@ -252,22 +270,8 @@ def _build_ckx_parts(params):
 def _b_ckx(params, seed):
     x_space, rescaled, k_space, cov = _build_ckx_parts(params)
     cls = spaces.classify_covering(cov)
-    return (cov,), {"balls": len(cov.balls), "radius_bound": cls.radius_bound,
-                    "origin_gap": cls.origin_gap}
-
-
-def _t_ckx(ctx, index, trial_seed):
-    (cov,) = ctx
-    g = spaces.sample_sphere(cov.space, trial_seed)
-    try:
-        cert = spaces.certify_point(cov, g)
-    except spaces.NotCovered as exc:
-        return {"trial": index, "status": "falsified",
-                "min_excess": float(exc.min_excess)}
-    radius = cov.balls[cert.ball_index].radius
-    return {"trial": index, "status": "ok", "ball_index": cert.ball_index,
-            "distance": float(cert.distance), "radius": float(radius),
-            "margin": float(cert.margin), "slack": float(cert.margin)}
+    return (cov, None), {"balls": len(cov.balls), "radius_bound": cls.radius_bound,
+                         "origin_gap": cls.origin_gap}
 
 
 def _v_transfer_ckx(params):
@@ -288,33 +292,26 @@ def _b_transfer_ckx(params, seed):
 def _t_transfer_ckx(ctx, index, trial_seed):
     x_space, k_space, transfer = ctx
     x = spaces.sample_sphere(x_space, derive_seed(trial_seed, 1))
-    f = spaces.sample_sphere(spaces.sup_grid(k_space.n), derive_seed(trial_seed, 2))
-    rec = {"trial": index}
-    try:
-        cx = spaces.certify_point(transfer.x_covering, x)
-    except spaces.NotCovered as exc:
-        rec.update(status="falsified", min_excess=float(exc.min_excess))
+    f = spaces.sample_sphere(k_space, derive_seed(trial_seed, 2))
+    rec = {"trial": index, **_certified(transfer.x_covering, x)}
+    if rec["status"] != "ok":
         return rec
     try:
         cs = ck_cover.scalar_transfer_certify(transfer, f)
     except ck_cover.ScalarTransferExhausted as exc:
-        rec.update(status="exhausted", min_excess=float(exc.min_excess))
-        return rec
+        return {"trial": index, "status": "exhausted",
+                "min_excess": float(exc.min_excess)}
     m, n, sign = transfer.scalar_labels[cs.ball_index]
-    rec.update(status="ok",
-               ball_index=cx.ball_index, distance=float(cx.distance),
-               radius=float(transfer.x_covering.balls[cx.ball_index].radius),
-               margin=float(cx.margin),
-               scalar_multiple=m, scalar_ball=n, scalar_sign=sign,
+    rec.update(scalar_multiple=m, scalar_ball=n, scalar_sign=sign,
                scalar_margin=float(cs.margin),
-               slack=float(min(cx.margin, cs.margin)))
+               slack=float(min(rec["margin"], cs.margin)))
     return rec
 
 
 def _v_rescale(params):
     out = {"nodes": _int(params, "nodes", 8, 1),
-           "lam": float(params.get("lam", 1.2)),
-           "r_star": float(params.get("r_star", 0.2)),
+           "lam": _real(params, "lam", 1.2),
+           "r_star": _real(params, "r_star", 0.2),
            "trials": _int(params, "trials", 200, 1)}
     _require(1.0 < out["lam"] <= 1.5, "lam must lie in (1, 3/2]")
     _require(out["r_star"] >= 0, "r_star must be nonnegative")
@@ -334,16 +331,14 @@ def _b_rescale(params, seed):
 def _t_rescale(ctx, index, trial_seed):
     space, cov, rescaled = ctx
     g = spaces.sample_sphere(space, trial_seed)
-    try:
-        cert = spaces.certify_point(cov, g)
-    except spaces.NotCovered as exc:
-        return {"trial": index, "status": "falsified",
-                "min_excess": float(exc.min_excess)}
-    ball = rescaled.balls[cert.ball_index]
+    rec = _certified(cov, g)
+    if rec["status"] != "ok":
+        return {"trial": index, **rec}
+    ball = rescaled.balls[rec["ball_index"]]
     d = spaces.norm_of(space, g - ball.center)
     ok = d <= ball.radius
     return {"trial": index, "status": "ok" if ok else "falsified",
-            "ball_index": cert.ball_index, "distance": float(d),
+            "ball_index": rec["ball_index"], "distance": float(d),
             "radius": float(ball.radius), "margin": float(ball.radius - d),
             "slack": float(ball.radius - d)}
 
@@ -352,14 +347,14 @@ def _v_lp_operator(params):
     out = {"n": _int(params, "n", 2, 1, 8),
            "m": _int(params, "m", 2, 1, 8),
            "p": _p_json(_as_p(params.get("p", 2.0))),
-           "lam": float(params.get("lam", 1.1)),
+           "lam": _real(params, "lam", 1.1),
            "trials": _int(params, "trials", 100, 1)}
     out["q"] = _p_json(_as_p(params.get("q", out["p"])))
     _require(out["lam"] > 1.0, "lam must exceed 1")
     p = _as_p(out["p"])
     _require(1.0 < p < math.inf, "p must lie in (1, inf)")
     if "delta" in params:
-        out["delta"] = float(params["delta"])
+        out["delta"] = _real(params, "delta", None)
         _require(out["delta"] > 0, "delta must be positive")
     return out
 
@@ -397,14 +392,18 @@ def _t_lp_operator(ctx, index, trial_seed):
             "slack": float(slack)}
 
 
+def _rank_one_net(params) -> dict:
+    """lam in (1, 2) and a sphere-net step delta <= (lam - 1) / (4 lam + 4)."""
+    lam, delta = _real(params, "lam", 1.5), _real(params, "delta", 0.05)
+    _require(1.0 < lam < 2.0, "lam must lie in (1, 2)")
+    bound = (lam - 1.0) / (4.0 * lam + 4.0)
+    _require(0 < delta <= bound, f"delta must lie in (0, {bound:.6g}] for this lam")
+    return {"lam": lam, "delta": delta}
+
+
 def _v_hilbert(params):
-    out = {"dim": _int(params, "dim", 4, 1, 16),
-           "lam": float(params.get("lam", 1.5)),
-           "delta": float(params.get("delta", 0.05)),
-           "trials": _int(params, "trials", 100, 1)}
-    _require(1.0 < out["lam"] < 2.0, "lam must lie in (1, 2)")
-    _require(out["delta"] > 0, "delta must be positive")
-    return out
+    return {"dim": _int(params, "dim", 4, 1, 16), **_rank_one_net(params),
+            "trials": _int(params, "trials", 100, 1)}
 
 
 def _b_hilbert(params, seed):
@@ -416,7 +415,7 @@ def _t_hilbert(params, index, trial_seed):
     rng = np.random.default_rng(trial_seed)
     A = rng.standard_normal((params["dim"], params["dim"]))
     A /= np.linalg.svd(A, compute_uv=False)[0]
-    cert = op_cover.hilbert_rank_one_certify(A, params["lam"], delta=params["delta"])
+    cert = op_cover.hilbert_rank_one_certify(A, params["lam"], params["delta"])
     ok = cert.distance <= cert.radius and cert.distance <= cert.distance_bound
     return {"trial": index, "status": "ok" if ok else "falsified",
             "distance": float(cert.distance), "radius": float(cert.radius),
@@ -425,15 +424,7 @@ def _t_hilbert(params, index, trial_seed):
 
 
 def _v_transfer_op(params):
-    out = {"dim": 2,
-           "lam": float(params.get("lam", 1.5)),
-           "delta": float(params.get("delta", 0.05)),
-           "trials": _int(params, "trials", 200, 1)}
-    _require(1.0 < out["lam"] < 2.0, "lam must lie in (1, 2)")
-    bound = (out["lam"] - 1.0) / (4.0 * out["lam"] + 4.0)
-    _require(0 < out["delta"] <= bound,
-             f"delta must lie in (0, {bound:.6g}] for this lam")
-    return out
+    return {"dim": 2, **_rank_one_net(params), "trials": _int(params, "trials", 200, 1)}
 
 
 def _b_transfer_op(params, seed):
@@ -450,21 +441,15 @@ def _b_transfer_op(params, seed):
 
 def _t_transfer_op(ctx, index, trial_seed):
     cov, transfer = ctx
-    dim = transfer.y_covering.space.n
     y = spaces.sample_sphere(transfer.y_covering.space, derive_seed(trial_seed, 1))
     f = spaces.sample_sphere(transfer.xstar_covering.space, derive_seed(trial_seed, 2))
-    rec = {"trial": index}
-    try:
-        cy = spaces.certify_point(transfer.y_covering, y)
-        cf = spaces.certify_point(transfer.xstar_covering, f)
-    except spaces.NotCovered as exc:
-        rec.update(status="falsified", min_excess=float(exc.min_excess))
+    rec = {"trial": index, **_certified(transfer.y_covering, y)}
+    if rec["status"] != "ok":
         return rec
-    rec.update(status="ok", ball_index=cy.ball_index,
-               distance=float(cy.distance),
-               radius=float(transfer.y_covering.balls[cy.ball_index].radius),
-               margin=float(cy.margin), dual_margin=float(cf.margin),
-               slack=float(min(cy.margin, cf.margin)))
+    dual = _certified(transfer.xstar_covering, f)
+    if dual["status"] != "ok":
+        return {"trial": index, **dual}
+    rec.update(dual_margin=dual["margin"], slack=min(rec["margin"], dual["margin"]))
     return rec
 
 
@@ -474,7 +459,7 @@ def _v_linf_sum(params):
     norm_blocks = []
     for b in blocks:
         _require(len(b) == 2, "each block is [dimension, exponent]")
-        norm_blocks.append([int(b[0]), _p_json(_as_p(b[1]))])
+        norm_blocks.append([_integer(b[0], "block dimension"), _p_json(_as_p(b[1]))])
     return {"blocks": norm_blocks,
             "trials": _int(params, "trials", 200, 1),
             "identity_checks": _int(params, "identity_checks", 100, 0)}
@@ -485,7 +470,7 @@ def _b_linf_sum(params, seed):
     for n, p in params["blocks"]:
         space = spaces.lp(n, _as_p(p))
         try:
-            covs.append(op_cover.axis_covering(space, 2.0))
+            covs.append(op_cover.axis_covering(space))
         except ValueError:
             covs.append(op_cover.planar_net_covering(space))
     cov = op_cover.linf_sum_cover(covs)
@@ -499,22 +484,8 @@ def _b_linf_sum(params, seed):
         if (spaces.norm_of(s1, v1) == op_cover.operator_norm(A, 1.0, 1.0)
                 and spaces.norm_of(sinf, vinf) == op_cover.operator_norm(A, math.inf, math.inf)):
             exact += 1
-    return (cov,), {"balls": len(cov.balls), "origin_gap": cov.origin_gap,
-                    "identity_checks": checks, "identity_exact": exact}
-
-
-def _t_linf_sum(ctx, index, trial_seed):
-    (cov,) = ctx
-    v = spaces.sample_sphere(cov.space, trial_seed)
-    try:
-        cert = spaces.certify_point(cov, v)
-    except spaces.NotCovered as exc:
-        return {"trial": index, "status": "falsified",
-                "min_excess": float(exc.min_excess)}
-    return {"trial": index, "status": "ok", "ball_index": cert.ball_index,
-            "distance": float(cert.distance),
-            "radius": float(cov.balls[cert.ball_index].radius),
-            "margin": float(cert.margin), "slack": float(cert.margin)}
+    return (cov, None), {"balls": len(cov.balls), "origin_gap": cov.origin_gap,
+                         "identity_checks": checks, "identity_exact": exact}
 
 
 def _v_complementation(params):
@@ -552,24 +523,28 @@ class _Scenario:
 SCENARIOS = {
     "topology": _Scenario(_v_topology, _b_topology, _t_topology),
     "lemma_scaling": _Scenario(_v_lemma, _b_lemma, _t_lemma),
-    "ck_cover": _Scenario(_v_ck_cover, _b_ck_cover, _t_ck_cover),
+    "ck_cover": _Scenario(_v_ck_cover, _b_ck_cover, _t_cover),
     "ck_falsify": _Scenario(_v_ck_falsify, _b_ck_falsify, _t_ck_falsify),
-    "ckx_cover": _Scenario(_v_ckx, _b_ckx, _t_ckx),
+    "ckx_cover": _Scenario(_v_ckx, _b_ckx, _t_cover),
     "transfer_ckx": _Scenario(_v_transfer_ckx, _b_transfer_ckx, _t_transfer_ckx),
     "rescale": _Scenario(_v_rescale, _b_rescale, _t_rescale),
     "lp_operator": _Scenario(_v_lp_operator, _b_lp_operator, _t_lp_operator),
     "hilbert": _Scenario(_v_hilbert, _b_hilbert, _t_hilbert),
     "transfer_op": _Scenario(_v_transfer_op, _b_transfer_op, _t_transfer_op),
-    "linf_sum": _Scenario(_v_linf_sum, _b_linf_sum, _t_linf_sum),
+    "linf_sum": _Scenario(_v_linf_sum, _b_linf_sum, _t_cover),
     "complementation": _Scenario(_v_complementation, _b_complementation,
                                  _t_complementation),
 }
 
 
+def _trials(sc: _Scenario, ctx, seed: int, lo: int, hi: int) -> list:
+    return [sc.trial(ctx, i, derive_seed(seed, i)) for i in range(lo, hi)]
+
+
 def _run_slice(scenario: str, params: dict, seed: int, lo: int, hi: int) -> list:
     sc = SCENARIOS[scenario]
     ctx, _ = sc.build(params, seed)
-    return [sc.trial(ctx, i, derive_seed(seed, i)) for i in range(lo, hi)]
+    return _trials(sc, ctx, seed, lo, hi)
 
 
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> Report:
@@ -577,11 +552,14 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> Report:
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
     sc = SCENARIOS[cfg.scenario]
-    try:
+    try:  # a value of the wrong type or out of range
         params = sc.validate(dict(cfg.params or {}))
-        t0 = time.perf_counter()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    t0 = time.perf_counter()
+    try:
         ctx, derived = sc.build(params, cfg.seed)
-    except ValueError as exc:  # a malformed value or one the build rejects
+    except ValueError as exc:  # a combination the build rejects
         raise ConfigError(str(exc)) from exc
     n_trials = params.get("trials", 1)
     if jobs > 1 and n_trials > 1:
@@ -590,11 +568,9 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> Report:
             chunks = pool.map(_run_slice,
                               *zip(*[(cfg.scenario, params, cfg.seed, lo, hi)
                                      for lo, hi in zip(bounds[:-1], bounds[1:])]))
-        records = [r for chunk in chunks for r in chunk]
+        records = [r for chunk in chunks for r in chunk]  # map keeps slice order
     else:
-        records = [sc.trial(ctx, i, derive_seed(cfg.seed, i))
-                   for i in range(n_trials)]
-    records.sort(key=lambda r: r["trial"])
+        records = _trials(sc, ctx, cfg.seed, 0, n_trials)
     aggregates, verdict = _aggregate(records)
     gaps = [v for k, v in derived.items()
             if "gap" in k and isinstance(v, (int, float))]

@@ -8,7 +8,6 @@ column/row norm identifications.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,6 @@ from .seeding import derive_seed
 from .spaces import (
     STRICT_SLACK,
     BallCovering,
-    LinfSumSpace,
     LpSpace,
     OperatorSpace,
     linf_sum,
@@ -51,10 +49,6 @@ class WindowMiss(Exception):
         self.window = window
 
 
-class EmptyWindow(Exception):
-    """Net too coarse to produce any candidate in the norm window."""
-
-
 class NormingFailure(Exception):
     """A ball radius reaches its center norm; the covering is inadmissible."""
 
@@ -82,19 +76,6 @@ def dual_exponent(p: float) -> float:
     if p == math.inf:
         return 1.0
     return p / (p - 1.0)
-
-
-def operator_to_dict(T: Operator) -> dict:
-    """Row-major JSON form with the exponent pair."""
-    return {"matrix": [[float(v) for v in row] for row in np.asarray(T.matrix)],
-            "q": "inf" if T.q == math.inf else T.q,
-            "p": "inf" if T.p == math.inf else T.p}
-
-
-def operator_from_dict(d: dict) -> Operator:
-    q = math.inf if d["q"] == "inf" else float(d["q"])
-    p = math.inf if d["p"] == "inf" else float(d["p"])
-    return Operator(np.array(d["matrix"], dtype=float), q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +161,15 @@ def _holder_norming(row: np.ndarray, q: float) -> np.ndarray:
     return x / nrm
 
 
-def _boyd_ascent(A: np.ndarray, q: float, p: float, restarts: int = 32,
-                 max_iters: int = 500, tol: float = 1e-12,
-                 seed: int = 0x9E3779B9) -> tuple:
+# Boyd ascent: starting points, iteration cap, stopping tolerance on the
+# value change, and the seed of the Gaussian starts
+_RESTARTS = 32
+_MAX_ITERS = 500
+_TOL = 1e-12
+_ASCENT_SEED = 0x9E3779B9
+
+
+def _boyd_ascent(A: np.ndarray, q: float, p: float) -> tuple:
     """Fixed-point ascent on the norming vector, batched over restarts.
 
     Each step maps x to the dual-scaled gradient direction of |Ax|_p on the
@@ -190,25 +177,25 @@ def _boyd_ascent(A: np.ndarray, q: float, p: float, restarts: int = 32,
     the canonical basis, the flat vector, then seeded Gaussian draws.
     """
     m, n = A.shape
-    cols = [np.eye(n)[:, j] for j in range(min(n, restarts))]
-    if len(cols) < restarts:
+    cols = [np.eye(n)[:, j] for j in range(min(n, _RESTARTS))]
+    if len(cols) < _RESTARTS:
         cols.append(np.ones(n))
-    rng = np.random.default_rng(seed)
-    while len(cols) < restarts:
+    rng = np.random.default_rng(_ASCENT_SEED)
+    while len(cols) < _RESTARTS:
         cols.append(rng.standard_normal(n))
-    X = np.stack(cols[:restarts], axis=1)
+    X = np.stack(cols[:_RESTARTS], axis=1)
     X = X / _col_lp_norms(X, q)
     qd_pow = 1.0 / (q - 1.0)
     prev = np.full(X.shape[1], -1.0)
     best_val, best_x = 0.0, X[:, 0].copy()
     converged = np.zeros(X.shape[1], dtype=bool)
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         Y = A @ X
         vals = _col_lp_norms(Y, p).ravel()
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_x = float(vals[k]), X[:, k].copy()
-        converged |= np.abs(vals - prev) < tol
+        converged |= np.abs(vals - prev) < _TOL
         if converged.all():
             break
         prev = vals
@@ -290,8 +277,7 @@ class DualBallNet:
     Members are the grid points (coordinate step delta / sqrt(n)) inside
     the dual ball plus the signed coordinate functionals. The grid is
     queried by rounding, never materialized, so fine nets in moderate
-    dimension stay cheap; explicit enumeration is available behind a size
-    guard for the candidate enumerator.
+    dimension stay cheap.
     """
 
     n: int
@@ -334,32 +320,6 @@ class DualBallNet:
             if d < best_d:
                 best_key, best_w, best_d = key, w, d
         return best_key, best_w, best_d
-
-    def enumerate(self, limit: int = 200_000) -> list:
-        step = self.step
-        kmax = int(math.floor(1.0 / step))
-        per_axis = 2 * kmax + 1
-        if per_axis ** self.n > limit:
-            raise ValueError(
-                f"net enumeration would exceed {limit} grid points; "
-                "use a coarser delta or the implicit nearest() queries")
-        out = []
-        grid_vecs = set()
-        for ks in itertools.product(range(-kmax, kmax + 1), repeat=self.n):
-            w = np.array(ks, dtype=float) * step
-            if lp_norm(w, self.dual_p) <= 1.0 + 1e-12:
-                out.append((("grid", ks), w))
-                grid_vecs.add(ks)
-        for i in range(self.n):
-            for sign in (1, -1):
-                ks = tuple(0 for _ in range(self.n))
-                e = np.zeros(self.n)
-                e[i] = float(sign)
-                on_grid = step > 0 and abs(round(1.0 / step) - 1.0 / step) < 1e-9
-                key_guess = tuple(int(round(e[j] / step)) for j in range(self.n))
-                if not (on_grid and key_guess in grid_vecs):
-                    out.append((("axis", i, sign), e))
-        return out
 
 
 @dataclass(frozen=True)
@@ -468,36 +428,7 @@ class LpCertificate:
         }
 
 
-def enumerate_lp_centers(net: DualBallNet, lam: float, p: float, k_max: int,
-                         limit: int = 200_000) -> list:
-    """All candidates of rank k <= k_max whose prescale norm is in the window."""
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
-    if not 1.0 < p < math.inf:
-        raise ValueError("the candidate window needs p in (1, inf)")
-    points = net.enumerate(limit)
-    total = sum(len(points) ** k for k in range(1, k_max + 1))
-    if total > limit:
-        raise ValueError(
-            f"{total} candidate tuples exceed the enumeration limit {limit}")
-    low, high = lp_window(lam, p)
-    c = lp_window_constant(lam, p)
-    out = []
-    for k in range(1, k_max + 1):
-        for combo in itertools.product(points, repeat=k):
-            rows = np.stack([w for _, w in combo])
-            nrm = operator_norm(rows, net.q, p)
-            if low < nrm < high:
-                out.append(LpCenterCandidate(
-                    tuple(key for key, _ in combo), rows, nrm, lam, c))
-    if not out:
-        raise EmptyWindow(
-            f"no rank <= {k_max} candidate landed in the window ({low:.6g}, {high:.6g})")
-    return out
-
-
-def certify_lp_operator(T: Operator, lam: float, net: DualBallNet,
-                        eps: float | None = None) -> LpCertificate:
+def certify_lp_operator(T: Operator, lam: float, net: DualBallNet) -> LpCertificate:
     """Constructive covering certificate for a norm-one operator into lp(p).
 
     Truncates to the smallest leading row block whose norm theta clears
@@ -505,10 +436,10 @@ def certify_lp_operator(T: Operator, lam: float, net: DualBallNet,
     (1 - theta^p)^(1/p); both are needed for the distance chain, and the
     full block (zero tail, theta = 1) always qualifies. Each scaled row is
     approximated by the nearest net point within min(eps/t0, (1-c)/(3 t0)),
-    the candidate window is checked, and the distance to the scaled
-    candidate is measured. The certificate carries the guaranteed bounds:
-    distance <= lam (c + eps), radius lam (1 + c) / 2 below the center
-    norm, and uniform gap lam (1 - c) / 6.
+    eps = (1 - c) / 4, the candidate window is checked, and the distance to
+    the scaled candidate is measured. The certificate carries the guaranteed
+    bounds: distance <= lam (c + eps), radius lam (1 + c) / 2 below the
+    center norm, and uniform gap lam (1 - c) / 6.
     """
     A = np.asarray(T.matrix, dtype=float)
     q, p = T.q, T.p
@@ -521,10 +452,9 @@ def certify_lp_operator(T: Operator, lam: float, net: DualBallNet,
     if abs(tnorm - 1.0) > 1e-9:
         raise ValueError(f"operator must have norm 1 (got {tnorm:.12g})")
     c = lp_window_constant(lam, p)
-    if eps is None:
-        eps = (1.0 - c) / 4.0
-    if not 0.0 < eps < (1.0 - c) / 2.0:
-        raise ValueError("eps must lie in (0, (1-c)/2)")
+    if not c < 1.0:
+        raise ValueError("the window constant c must stay below 1")
+    eps = (1.0 - c) / 4.0
     theta_min = max(0.5, lam ** (1.0 - p))
     t0, theta = m, tnorm
     for t in range(1, m + 1):
@@ -577,12 +507,11 @@ class HilbertCertificate:
     distance_bound: float  # 1 + (2 lam + 2) delta
 
 
-def hilbert_rank_one_certify(A, lam: float, delta: float | None = None,
-                             nets: tuple | None = None) -> HilbertCertificate:
+def hilbert_rank_one_certify(A, lam: float, delta: float) -> HilbertCertificate:
     """Certify a norm-one matrix against the scaled rank-one net family.
 
-    The top singular pair is snapped to nearest net points b_u, b_v; the
-    center lam * b_u b_v^T then satisfies
+    The top singular pair is snapped to nearest points b_u, b_v of the
+    sphere nets with step delta; the center lam * b_u b_v^T then satisfies
     distance <= max(lam - 1, sigma_2) + 2 lam delta <= 1 + (2 lam + 2) delta,
     which stays below the radius (1 + lam) / 2 whenever
     delta <= (lam - 1) / (4 lam + 4).
@@ -591,11 +520,6 @@ def hilbert_rank_one_certify(A, lam: float, delta: float | None = None,
     m, n = A.shape
     if not 1.0 < lam < 2.0:
         raise ValueError("lam must lie in (1, 2)")
-    if nets is None:
-        if delta is None:
-            raise ValueError("provide either delta or explicit nets")
-        nets = (SphereNet(m, delta), SphereNet(n, delta))
-    delta = max(nets[0].delta, nets[1].delta)
     delta_max = (lam - 1.0) / (4.0 * lam + 4.0)
     if delta > delta_max + 1e-12:
         raise NetTooCoarse(required=delta_max, measured=delta,
@@ -607,9 +531,9 @@ def hilbert_rank_one_certify(A, lam: float, delta: float | None = None,
     pivot = int(np.argmax(np.abs(u1)))
     if u1[pivot] < 0:  # fix the SVD sign ambiguity without changing u1 v1^T
         u1, v1 = -u1, -v1
-    lkey, bu, du = nets[0].nearest(u1)
-    rkey, bv, dv = nets[1].nearest(v1)
-    if du > nets[0].delta + 1e-12 or dv > nets[1].delta + 1e-12:
+    lkey, bu, du = SphereNet(m, delta).nearest(u1)
+    rkey, bv, dv = SphereNet(n, delta).nearest(v1)
+    if du > delta + 1e-12 or dv > delta + 1e-12:
         raise NetTooCoarse(required=delta, measured=max(du, dv),
                            what="sphere net point")
     center = lam * np.outer(bu, bv)
@@ -655,13 +579,17 @@ class TransferResult:
     dual_functionals: np.ndarray
 
 
-def operator_cover_transfer(cov: BallCovering, delta_g: float = 1e-3,
-                            search_budget: int = 10_000,
-                            seed: int = 0x5EED) -> TransferResult:
+# least separation |g(x_n)| the transfer accepts, and the number of random
+# directions its search may draw
+_MIN_SEPARATION = 1e-3
+_SEARCH_BUDGET = 10_000
+
+
+def operator_cover_transfer(cov: BallCovering, seed: int = 0x5EED) -> TransferResult:
     """Derive coverings of the codomain sphere and the dual-domain sphere.
 
     For each ball, a norming vector x_n with |T_n x_n| > r_n comes from the
-    norm ascent; a single functional g with min_n |g(x_n)| >= delta_g is
+    norm ascent; a single functional g with min_n |g(x_n)| >= 1e-3 is
     found by seeded random search (reported, never silently assumed), and
     the codomain balls are B(T_n x_n / g(x_n), r_n / |g(x_n)|). The dual
     side runs the same construction on the adjoints.
@@ -696,10 +624,10 @@ def operator_cover_transfer(cov: BallCovering, delta_g: float = 1e-3,
 
     xstar_space = lp(n, dual_exponent(q))
     y_space = lp(m, p)
-    g, g_sep = _separating_direction(xstar_space, X, delta_g,
-                                     search_budget, derive_seed(seed, 1))
-    y, y_sep = _separating_direction(y_space, G, delta_g,
-                                     search_budget, derive_seed(seed, 2))
+    g, g_sep = _separating_direction(xstar_space, X, _MIN_SEPARATION,
+                                     _SEARCH_BUDGET, derive_seed(seed, 1))
+    y, y_sep = _separating_direction(y_space, G, _MIN_SEPARATION,
+                                     _SEARCH_BUDGET, derive_seed(seed, 2))
 
     y_balls, xstar_balls = [], []
     for k, A in enumerate(mats):
@@ -821,40 +749,36 @@ def rows_as_linf_sum(A: np.ndarray) -> tuple:
     return space, vec
 
 
-def axis_covering(space: LpSpace, scale: float = 2.0) -> BallCovering:
-    """Covering of an lp sphere by balls around the scaled signed axes.
+def axis_covering(space: LpSpace) -> BallCovering:
+    """Covering of an lp sphere by balls around the signed axes scaled by 2.
 
     The worst distance occurs at the flattest sphere point, giving radius
-    ((scale - a)^p + 1 - a^p)^(1/p) with a = n^(-1/p); for the sup norm a
-    fixed pad below scale is used instead. Inadmissible combinations are
-    rejected.
+    ((2 - a)^p + 1 - a^p)^(1/p) with a = n^(-1/p); for the sup norm the
+    fixed radius 5/4 is used instead. Inadmissible spaces, such as l1 in
+    dimension 2 and up, are rejected.
     """
     n, p = space.n, space.p
     if p == math.inf:
-        if scale < 2.0:
-            raise ValueError("sup-norm axis covering needs scale >= 2")
-        radius = scale - 0.75
+        radius = 1.25
     else:
         a = n ** (-1.0 / p)
-        radius = ((scale - a) ** p + 1.0 - a ** p) ** (1.0 / p)
-    if radius >= scale - STRICT_SLACK:
-        raise ValueError(
-            f"axis covering of lp({n}, {p}) at scale {scale} is not admissible")
+        radius = ((2.0 - a) ** p + 1.0 - a ** p) ** (1.0 / p)
+    if radius >= 2.0 - STRICT_SLACK:
+        raise ValueError(f"axis covering of lp({n}, {p}) is not admissible")
     balls = []
     for i in range(n):
         for sign in (1.0, -1.0):
             e = np.zeros(n)
-            e[i] = sign * scale
+            e[i] = sign * 2.0
             balls.append((e, radius))
     return make_covering(space, balls)
 
 
-def planar_net_covering(space: LpSpace, delta: float = 0.5,
-                        scale: float = 2.0) -> BallCovering:
+def planar_net_covering(space: LpSpace, delta: float = 0.5) -> BallCovering:
     """Net-based sphere covering for 2-dimensional lp spaces (any p >= 1).
 
-    Centers scale * w over a measured delta-net w of the sphere, radius
-    scale - 1 + delta; works where the axis covering is inadmissible (p = 1).
+    Centers 2 w over a measured delta-net w of the sphere, radius
+    1 + delta; works where the axis covering is inadmissible (p = 1).
     """
     if space.n != 2:
         raise ValueError("planar net covering needs dimension 2")
@@ -873,5 +797,5 @@ def planar_net_covering(space: LpSpace, delta: float = 0.5,
     measured = float(dmat.min(axis=1).max())
     if measured > delta:
         raise ValueError(f"net of {count} points only reaches delta {measured:.4g}")
-    radius = scale - 1.0 + delta
-    return make_covering(space, [(scale * w, radius) for w in pts])
+    radius = 1.0 + delta
+    return make_covering(space, [(2.0 * w, radius) for w in pts])

@@ -242,19 +242,6 @@ def custom_space(points, opens) -> FiniteSpace:
     return space
 
 
-def build_finite_space(kind: str, **params) -> FiniteSpace:
-    """Tag-dispatched builder: discrete_cube, sierpinski, convergent_model, custom."""
-    if kind == "discrete_cube":
-        return discrete_cube(params["m"])
-    if kind == "sierpinski":
-        return sierpinski()
-    if kind == "convergent_model":
-        return convergent_model(params["N"], params["m"])
-    if kind == "custom":
-        return custom_space(params["points"], params["opens"])
-    raise TopologyError(f"unknown space kind {kind!r}")
-
-
 def product_space(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
     """Product topology; point (i, j) gets index i * b.n + j."""
     points = tuple((pa, pb) for pa in a.points for pb in b.points)

@@ -119,7 +119,7 @@ def test_criterion_05_ckx_roundtrip():
     with _Timer(30.0) as t:
         k_space = sp.sup_grid(4)
         x_space = sp.lp(2, 2)
-        x_cov = sp.rescale_covering(oc.axis_covering(x_space, 2.0), 0.5)
+        x_cov = sp.rescale_covering(oc.axis_covering(x_space), 0.5)
         cov = ck.build_ckx_cover(k_space, x_cov)
         samples = np.stack([sp.sample_sphere(cov.space, derive_seed(5, i))
                             for i in range(1000)])
@@ -239,7 +239,7 @@ def test_criterion_10_operator_transfers():
 
 def test_criterion_11_linf_sum_and_identifications():
     with _Timer(60.0) as t:
-        block = oc.axis_covering(sp.lp(2, 2), 2.0)
+        block = oc.axis_covering(sp.lp(2, 2))
         cov = oc.linf_sum_cover([block, block])
         samples = np.stack([sp.sample_sphere(cov.space, derive_seed(11, i))
                             for i in range(1000)])

@@ -147,7 +147,7 @@ class TestWitnessSearch:
 
 
 def rescaled_axis_covering(x_space, r_star=0.5):
-    return sp.rescale_covering(oc.axis_covering(x_space, 2.0), r_star)
+    return sp.rescale_covering(oc.axis_covering(x_space), r_star)
 
 
 class TestBuildCkxCover:

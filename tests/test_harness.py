@@ -1,9 +1,13 @@
+import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from bcplab import cli
 from bcplab.harness import (
+    SCENARIOS,
     ConfigError,
     ScenarioConfig,
     _aggregate,
@@ -46,6 +50,11 @@ class TestRunScenario:
             "ck_cover", {"nodes": 8, "lam": 1.2, "trials": 10_000}, 7))
         assert r.verdict == "pass"
         assert r.aggregates["min_margin"] > 0
+
+    def test_zero_node_defaults_from_validated_nodes(self):
+        r = run_scenario(ScenarioConfig("ck_falsify", {"nodes": "6"}, 3))
+        assert r.params["zero_node"] == 5
+        assert r.trials[0]["witness_open"] == [5]
 
     def test_ck_falsify_produces_witness(self):
         r = run_scenario(ScenarioConfig(
@@ -121,6 +130,33 @@ class TestRunScenario:
         assert float(first[3]) == 1.0
 
 
+def _load_bench_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkContract:
+    """What the traced benchmark patches from outside the package must exist."""
+
+    def test_traced_names_exist(self):
+        tracer = _load_bench_tracer()
+        missing = [f"{module.__name__}.{name}"
+                   for module, name in [*tracer.SPANS, *tracer.COUNTED]
+                   if not callable(getattr(module, name, None))]
+        assert not missing
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenarios_accept_wrapped_setup(self, name):
+        sc = SCENARIOS[name]
+        wrapped = dataclasses.replace(sc, validate=lambda params: sc.validate(params),
+                                      build=lambda params, seed: sc.build(params, seed))
+        assert wrapped.trial is sc.trial
+        assert wrapped.validate({}) == sc.validate({})
+
+
 class TestCli:
     def write_cfg(self, tmp_path, payload):
         path = tmp_path / "cfg.json"
@@ -155,8 +191,25 @@ class TestCli:
         {"scenario": "topology", "params": {"kind": "convergent_model", "N": 30},
          "seed": 1},
         {"scenario": "ck_cover", "params": {}, "seed": "x"},
+        {"scenario": "ck_cover", "params": {"nodes": None}, "seed": 1},
+        {"scenario": "ck_cover", "params": {"lam": None}, "seed": 1},
+        {"scenario": "lemma_scaling", "params": {"p": None}, "seed": 1},
+        {"scenario": "linf_sum", "params": {"blocks": [5]}, "seed": 1},
+        {"scenario": "linf_sum", "params": {"blocks": [[2, None]]}, "seed": 1},
+        {"scenario": "ck_cover", "params": [1], "seed": 1},
+        {"scenario": ["x"], "params": {}, "seed": 1},
+        # the rank-one bound at lam 1.5 is 0.05
+        {"scenario": "hilbert", "params": {"delta": 0.051}, "seed": 1},
+        {"scenario": "ck_cover", "params": {"mode": "lipschitz", "slope": "inf"},
+         "seed": 1},
+        {"scenario": "lp_operator", "params": {"lam": "inf"}, "seed": 1},
+        {"scenario": "ck_falsify", "params": {"lam": "inf"}, "seed": 1},
+        {"scenario": "ck_cover", "params": {"trials": 2.9}, "seed": 1},
     ], ids=["ckx_r_star_above_gap", "lam_not_a_number", "topology_too_large",
-            "seed_not_an_integer"])
+            "seed_not_an_integer", "nodes_null", "lam_null", "p_null",
+            "block_not_a_pair", "block_exponent_null", "params_not_an_object",
+            "scenario_not_a_string", "hilbert_delta_above_bound", "slope_infinite",
+            "lp_operator_lam_infinite", "ck_falsify_lam_infinite", "trials_fractional"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, payload):
         assert cli.main(["run", "--config", self.write_cfg(tmp_path, payload)]) == 2
         assert "config error" in capsys.readouterr().err

@@ -70,12 +70,6 @@ class TestOperatorNorm:
         with pytest.raises(ValueError):
             oc.operator_norm_bruteforce(np.zeros((2, 4)), 2, 2)
 
-    def test_operator_json_round_trip(self):
-        T = oc.Operator(np.array([[1.0, -2.5], [0.0, 3.0]]), 1.5, math.inf)
-        back = oc.operator_from_dict(oc.operator_to_dict(T))
-        assert np.array_equal(back.matrix, T.matrix)
-        assert back.q == T.q and back.p == T.p
-
     def test_operator_space_sampling(self):
         space = sp.operator_space(sp.lp(3, 2.0), sp.lp(3, 2.0))
         v = sp.sample_sphere(space, 31)
@@ -102,17 +96,6 @@ class TestNets:
             key, w, d = net.nearest(v)
             assert sp.lp_norm(w, net.dual_p) <= 1.0 + 1e-12
             assert d <= net.delta
-
-    def test_dual_net_enumeration_contains_axes(self):
-        net = oc.DualBallNet(2, 2.0, 0.4)
-        pts = net.enumerate()
-        vecs = np.stack([w for _, w in pts])
-        for e in ([1, 0], [-1, 0], [0, 1], [0, -1]):
-            assert np.any(np.all(np.isclose(vecs, e), axis=1))
-
-    def test_dual_net_enumeration_guard(self):
-        with pytest.raises(ValueError):
-            oc.DualBallNet(4, 2.0, 0.001).enumerate(limit=1000)
 
     def test_sphere_net_nearest_is_unit(self):
         net = oc.SphereNet(4, 0.05)
@@ -141,36 +124,6 @@ class TestWindowAndCandidates:
         assert lo == pytest.approx(0.963575, abs=1e-6)
         assert hi == pytest.approx(1.036425, abs=1e-6)
 
-    def test_rank_one_axis_candidate_included(self):
-        net = oc.DualBallNet(2, 2.0, 0.4)
-        cands = oc.enumerate_lp_centers(net, 1.1, 2.0, k_max=1)
-        hits = [cd for cd in cands
-                if np.allclose(cd.row_vectors, [[1.0, 0.0]])]
-        assert hits
-        cd = hits[0]
-        assert cd.prescale_norm == pytest.approx(1.0)
-        assert np.allclose(cd.center_matrix(2), [[1.1, 0.0], [0.0, 0.0]])
-
-    def test_short_rows_excluded(self):
-        net = oc.DualBallNet(2, 2.0, 0.4)
-        cands = oc.enumerate_lp_centers(net, 1.1, 2.0, k_max=1)
-        for cd in cands:
-            lo, hi = oc.lp_window(1.1, 2.0)
-            assert lo < cd.prescale_norm < hi
-            assert cd.prescale_norm > 0.6  # dual-norm 0.5 rows never make it
-
-    def test_empty_window(self):
-        # a net made only of short vectors cannot reach the window
-        with pytest.raises(oc.EmptyWindow):
-            oc.enumerate_lp_centers(
-                _StubNet([np.array([0.2, 0.0]), np.array([0.0, 0.2])]),
-                1.1, 2.0, k_max=1)
-
-    def test_enumeration_limit_guard(self):
-        net = oc.DualBallNet(2, 2.0, 0.05)
-        with pytest.raises(ValueError):
-            oc.enumerate_lp_centers(net, 1.1, 2.0, k_max=3, limit=10_000)
-
     def test_certificate_audit_dict(self):
         T = np.zeros((2, 2))
         T[0, 0] = 1.0
@@ -190,9 +143,6 @@ class _StubNet:
         self.q = q
         self.delta = 1.0
 
-    def enumerate(self, limit=10**6):
-        return [(("stub", i), v) for i, v in enumerate(self.vectors)]
-
     def nearest(self, v):
         dists = [sp.lp_norm(v - w, oc.dual_exponent(self.q)) for w in self.vectors]
         i = int(np.argmin(dists))
@@ -211,6 +161,8 @@ class TestCertifyLpOperator:
         assert cert.radius == pytest.approx(1.039898, abs=1e-6)
         assert cert.gap == pytest.approx(0.060102, abs=1e-6)
         assert cert.gap_bound == pytest.approx(0.020034, abs=1e-6)
+        assert cert.center.prescale_norm == pytest.approx(1.0)
+        assert np.allclose(cert.center.center_matrix(2), [[1.1, 0.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("lam", [1.05, 1.1])
@@ -366,7 +318,7 @@ class TestTransfer:
 
 class TestLinfSum:
     def test_covering_certifies_sum_sphere(self):
-        block = oc.axis_covering(sp.lp(2, 2), 2.0)
+        block = oc.axis_covering(sp.lp(2, 2))
         cov = oc.linf_sum_cover([block, block])
         for seed in range(300):
             v = sp.sample_sphere(cov.space, seed)
@@ -374,7 +326,7 @@ class TestLinfSum:
             assert cert.margin >= 0
 
     def test_min_block_margin_preserved_exactly(self):
-        b1 = oc.axis_covering(sp.lp(2, 2), 2.0)
+        b1 = oc.axis_covering(sp.lp(2, 2))
         b2 = oc.planar_net_covering(sp.lp(2, 1.0), delta=0.4)
         cov = oc.linf_sum_cover([b1, b2])
         cls = sp.classify_covering(cov)
@@ -382,7 +334,7 @@ class TestLinfSum:
         assert cls.origin_gap == pytest.approx(expected, abs=1e-12)
 
     def test_centers_single_block_supported(self):
-        block = oc.axis_covering(sp.lp(2, 2), 2.0)
+        block = oc.axis_covering(sp.lp(2, 2))
         cov = oc.linf_sum_cover([block, block])
         for ball in cov.balls:
             half = len(ball.center) // 2
@@ -429,10 +381,10 @@ class TestLinfSum:
 
     def test_axis_covering_rejects_l1(self):
         with pytest.raises(ValueError):
-            oc.axis_covering(sp.lp(2, 1.0), 2.0)
+            oc.axis_covering(sp.lp(2, 1.0))
 
     def test_axis_covering_sup_norm(self):
-        cov = oc.axis_covering(sp.lp(3, math.inf), 2.0)
+        cov = oc.axis_covering(sp.lp(3, math.inf))
         for seed in range(200):
             v = sp.sample_sphere(sp.lp(3, math.inf), seed)
             assert sp.certify_point(cov, v).margin >= 0

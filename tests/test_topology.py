@@ -74,13 +74,6 @@ class TestBuilders:
         with pytest.raises(tp.TopologyError):
             tp.custom_space(("a", "b", "c"), [0b000, 0b011, 0b110, 0b111])
 
-    def test_build_finite_space_dispatch(self):
-        assert tp.build_finite_space("discrete_cube", m=2).n == 4
-        assert tp.build_finite_space("sierpinski").n == 2
-        assert tp.build_finite_space("convergent_model", N=3, m=1).n == 5
-        with pytest.raises(tp.TopologyError):
-            tp.build_finite_space("nonsense")
-
 
 class TestProducts:
     def test_discrete_times_discrete(self):
