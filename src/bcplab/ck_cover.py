@@ -300,11 +300,9 @@ def continuity_classes(space: topology.FiniteSpace) -> list:
         if ra != rb:
             parent[rb] = ra
 
-    nbhds = topology.minimal_neighborhoods(
-        n, space.opens if space.materialized() else [1 << i for i in range(n)])
     for x in range(n):
         for y in range(n):
-            if (nbhds[x] >> y) & 1:
+            if (space.nbhds[x] >> y) & 1:
                 union(x, y)
     groups: dict[int, list] = {}
     for x in range(n):

@@ -3,7 +3,8 @@
 ``bcplab run --config cfg.json [--seed N] [--out report.json]
 [--format json|csv] [--jobs K]`` plus the preset shortcuts
 ``bcplab topology|ck|op|transfer``. Exit codes: 0 pass or degenerate,
-1 falsified, 2 config error. ``BCPLAB_JOBS`` overrides ``--jobs``.
+1 falsified, 2 config error. ``BCPLAB_JOBS`` sets the worker count when
+``--jobs`` is absent.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import json
 import os
 import sys
 
-from .harness import EXIT_CODES, ConfigError, Report, ScenarioConfig, report_to_csv, run_scenario
+from .harness import (EXIT_CODES, ConfigError, Report, ScenarioConfig, _integer,
+                      report_to_csv, run_scenario)
 
 PRESETS = {
     "topology": ScenarioConfig("topology", {"kind": "convergent_model", "N": 5, "m": 2}, 1),
@@ -54,11 +56,7 @@ def _load_config(path: str) -> ScenarioConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config 'params' must be an object")
-    try:
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed must be an integer: {exc}") from exc
-    return ScenarioConfig(raw["scenario"], params, seed)
+    return ScenarioConfig(raw["scenario"], params, _integer(raw.get("seed", 0), "seed"))
 
 
 def render_report(report: Report, fmt: str) -> str:
@@ -78,7 +76,7 @@ def main(argv=None) -> int:
             cfg = ScenarioConfig(cfg.scenario, cfg.params, args.seed)
         jobs = args.jobs
         if jobs is None:
-            jobs = int(os.environ.get("BCPLAB_JOBS", "1"))
+            jobs = _integer(os.environ.get("BCPLAB_JOBS", "1"), "BCPLAB_JOBS")
         report = run_scenario(cfg, jobs=max(1, jobs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -58,6 +59,7 @@ class Report:
 
 
 def _as_p(value) -> float:
+    _require(not isinstance(value, bool), f"exponent {value!r} must be a number")
     if value in ("inf", "Infinity") or value == math.inf:
         return math.inf
     p = float(value)
@@ -76,9 +78,14 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _integer(value, name: str) -> int:
-    _require(not isinstance(value, float) or value.is_integer(),
+    """An integer from a JSON number or string; rejects bools and fractions."""
+    _require(not isinstance(value, bool)
+             and (not isinstance(value, float) or value.is_integer()),
              f"{name} must be an integer")
-    return int(value)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer: {exc}") from exc
 
 
 def _int(params, key, default, low=1, high=None):
@@ -90,6 +97,7 @@ def _int(params, key, default, low=1, high=None):
 
 
 def _real(params, key, default) -> float:
+    _require(not isinstance(params.get(key), bool), f"{key} must be a number")
     v = float(params.get(key, default))
     _require(math.isfinite(v), f"{key} must be finite")
     return v
@@ -562,9 +570,11 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> Report:
     except ValueError as exc:  # a combination the build rejects
         raise ConfigError(str(exc)) from exc
     n_trials = params.get("trials", 1)
-    if jobs > 1 and n_trials > 1:
-        bounds = np.linspace(0, n_trials, min(jobs, n_trials) + 1).astype(int)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # one slice per worker; a process pool forks all of its workers up front
+    workers = min(jobs, n_trials, len(os.sched_getaffinity(0)))
+    if workers > 1:
+        bounds = np.linspace(0, n_trials, workers + 1).astype(int)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(_run_slice,
                               *zip(*[(cfg.scenario, params, cfg.seed, lo, hi)
                                      for lo, hi in zip(bounds[:-1], bounds[1:])]))

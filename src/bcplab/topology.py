@@ -1,24 +1,22 @@
 """Finite topological spaces, pi-bases, pi-weight and continuous maps.
 
 Points are opaque labels; an open set is a bit mask over the point order
-(bit ``k`` set means ``points[k]`` belongs to the set). Builders
-materialize the full open-set family, sorted by (popcount, mask), whenever
-that is feasible; discrete cubes beyond 16 points keep an all-subsets flag
-instead of an explicit list.
-
-Materialization runs through minimal neighborhoods: the smallest open set
-around a point is the intersection of the generators containing it, and
-the opens of the generated topology are exactly the unions of those
-minimal neighborhoods. This keeps every builder correct by construction
-and makes membership checks linear.
+(bit ``k`` set means ``points[k]`` belongs to the set). A space keeps, for
+each point, the mask of its minimal open neighborhood: the smallest open
+set containing it. These masks fix the topology (Alexandroff, 1937): the
+opens are exactly their unions, and a set is open when it contains the
+neighborhood of each of its points. Builders, membership, pi-basis and
+continuity checks all work from the neighborhoods; the full open family,
+sorted by (popcount, mask), is built only when it is asked for.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
-MAX_MATERIALIZED_POINTS = 16
+MAX_MODEL_POINTS = 16
 MAX_OPENS = 1 << 16
 
 
@@ -28,11 +26,10 @@ class TopologyError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
-    """A finite point set together with its family of open sets."""
+    """A finite point set and the minimal open neighborhood of each point."""
 
     points: tuple
-    opens: tuple | None
-    all_open: bool = False
+    nbhds: tuple  # nbhds[x]: mask of the smallest open set containing x
 
     @property
     def n(self) -> int:
@@ -42,17 +39,15 @@ class FiniteSpace:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def materialized(self) -> bool:
-        return self.opens is not None
+    @cached_property
+    def opens(self) -> tuple:
+        """Every open set in (popcount, mask) order, built on first use."""
+        return _unions_of(self.nbhds)
 
     def is_open(self, mask: int) -> bool:
-        if self.all_open:
-            return 0 <= mask <= self.full_mask
-        lookup = self.__dict__.get("_lookup")
-        if lookup is None:
-            lookup = frozenset(self.opens)
-            object.__setattr__(self, "_lookup", lookup)
-        return mask in lookup
+        if mask < 0 or mask >> self.n:
+            return False
+        return all(self.nbhds[x] | mask == mask for x in _bits(mask))
 
     def index(self, label) -> int:
         return self.points.index(label)
@@ -97,8 +92,17 @@ class ContinuityCheck:
     witness: int | None  # target open whose preimage is not open, else None
 
 
-def _sorted_opens(masks) -> tuple:
-    return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
+def _order(mask: int) -> tuple:
+    """Enumeration order of opens: by popcount, then by mask."""
+    return mask.bit_count(), mask
+
+
+def _bits(mask: int):
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def minimal_neighborhoods(n: int, generators) -> list:
@@ -117,8 +121,8 @@ def minimal_neighborhoods(n: int, generators) -> list:
     return out
 
 
-def _unions_of(n_points: int, basis_masks) -> tuple:
-    """All unions of the given masks (the generated open-set family)."""
+def _unions_of(basis_masks) -> tuple:
+    """All unions of the given masks in (popcount, mask) order."""
     basis = sorted(set(basis_masks))
     k = len(basis)
     if k > 20:
@@ -131,22 +135,19 @@ def _unions_of(n_points: int, basis_masks) -> tuple:
     opens = set(unions)
     if len(opens) > MAX_OPENS:
         raise TopologyError(f"more than {MAX_OPENS} opens would materialize")
-    return _sorted_opens(opens)
+    return tuple(sorted(opens, key=_order))
 
 
 def space_from_generators(points, generators) -> FiniteSpace:
     """Space whose topology is generated by the given subbasis masks."""
-    n = len(points)
-    if n > MAX_MATERIALIZED_POINTS + 4:
-        raise TopologyError(f"too many points ({n}) to materialize a topology")
-    nbhds = minimal_neighborhoods(n, list(generators))
-    return FiniteSpace(tuple(points), _unions_of(n, nbhds))
+    if len(points) > 20:  # the most distinct neighborhoods _unions_of accepts
+        raise TopologyError(f"too many points ({len(points)}) for a generated topology")
+    nbhds = minimal_neighborhoods(len(points), list(generators))
+    return FiniteSpace(tuple(points), tuple(nbhds))
 
 
 def check_invariants(space: FiniteSpace) -> None:
     """Exhaustively verify the open-family axioms; raises on violation."""
-    if space.all_open:
-        return
     opens = set(space.opens)
     if 0 not in opens or space.full_mask not in opens:
         raise TopologyError("opens must contain the empty set and the full set")
@@ -155,6 +156,8 @@ def check_invariants(space: FiniteSpace) -> None:
             raise TopologyError(f"union {a | b:#x} of opens is not open")
         if a & b not in opens:
             raise TopologyError(f"intersection {a & b:#x} of opens is not open")
+    if space.nbhds != tuple(minimal_neighborhoods(space.n, opens)):
+        raise TopologyError("nbhds must hold the smallest open around each point")
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +169,12 @@ def discrete_cube(m: int) -> FiniteSpace:
     if not 1 <= m <= 16:
         raise TopologyError("discrete_cube requires 1 <= m <= 16")
     points = tuple(format(i, f"0{m}b") for i in range(1 << m))
-    n = len(points)
-    if n <= MAX_MATERIALIZED_POINTS:
-        return FiniteSpace(points, _sorted_opens(range(1 << n)))
-    return FiniteSpace(points, None, all_open=True)
+    return FiniteSpace(points, tuple(1 << x for x in range(len(points))))
 
 
 def sierpinski() -> FiniteSpace:
     """Two points a, b with opens {}, {a}, {a,b}."""
-    return FiniteSpace(("a", "b"), _sorted_opens((0b00, 0b01, 0b11)))
+    return FiniteSpace(("a", "b"), (0b01, 0b11))
 
 
 def convergent_model(num_isolated: int, m: int) -> FiniteSpace:
@@ -197,10 +197,10 @@ def convergent_model(num_isolated: int, m: int) -> FiniteSpace:
         raise TopologyError("convergent_model requires N >= 1 and m >= 1")
     n_base = 1 << m
     n = num_isolated + n_base
-    if n > MAX_MATERIALIZED_POINTS:
+    if n > MAX_MODEL_POINTS:  # keeps every model's opens small enough for space_to_text
         raise TopologyError(
             f"convergent_model({num_isolated}, {m}) has {n} points; "
-            f"materialization is capped at {MAX_MATERIALIZED_POINTS}")
+            f"models are capped at {MAX_MODEL_POINTS}")
     h = [format(i % n_base, f"0{m}b") for i in range(num_isolated)]
     iso_points = [(h[i], f"1/{i + 1}") for i in range(num_isolated)]
     base_points = [(format(f, f"0{m}b"), "0") for f in range(n_base)]
@@ -245,35 +245,15 @@ def custom_space(points, opens) -> FiniteSpace:
 def product_space(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
     """Product topology; point (i, j) gets index i * b.n + j."""
     points = tuple((pa, pb) for pa in a.points for pb in b.points)
-    n = len(points)
-    if a.all_open and b.all_open:
-        if n <= MAX_MATERIALIZED_POINTS:
-            return FiniteSpace(points, _sorted_opens(range(1 << n)))
-        return FiniteSpace(points, None, all_open=True)
-    ua = _materialized_neighborhoods(a)
-    ub = _materialized_neighborhoods(b)
-    rects = set()
-    for x in range(a.n):
-        for y in range(b.n):
-            rects.add(_rectangle_mask(ua[x], ub[y], b.n))
-    return FiniteSpace(points, _unions_of(n, rects))
-
-
-def _materialized_neighborhoods(space: FiniteSpace) -> list:
-    if space.all_open:
-        return [1 << x for x in range(space.n)]
-    if not space.materialized():
-        raise TopologyError("space has no materialized opens")
-    return minimal_neighborhoods(space.n, space.opens)
+    # the smallest open around (x, y) is the rectangle of the two neighborhoods
+    return FiniteSpace(points, tuple(_rectangle_mask(ua, ub, b.n)
+                                     for ua in a.nbhds for ub in b.nbhds))
 
 
 def _rectangle_mask(mask_a: int, mask_b: int, nb: int) -> int:
     out = 0
-    i = 0
-    while mask_a >> i:
-        if (mask_a >> i) & 1:
-            out |= mask_b << (i * nb)
-        i += 1
+    for i in _bits(mask_a):
+        out |= mask_b << (i * nb)
     return out
 
 
@@ -296,6 +276,8 @@ def is_pibasis(space: FiniteSpace, family) -> PiBasisCheck:
     Members must be nonempty and open; violating members are rejected as
     malformed input rather than reported as a failed property. On failure
     the witness is the smallest offending open set in enumeration order.
+    A family of opens is a pi-basis exactly when it holds every minimal
+    open, and the first minimal open it misses is that witness.
     """
     members = tuple(family.members if isinstance(family, PiBasis) else family)
     for mmask in members:
@@ -303,15 +285,14 @@ def is_pibasis(space: FiniteSpace, family) -> PiBasisCheck:
             raise TopologyError("pi-basis members must be nonempty")
         if not space.is_open(mmask):
             raise TopologyError(f"member {mmask:#x} is not open")
-    if space.all_open:
-        have = set(members)
-        for x in range(space.n):
-            if (1 << x) not in have:
-                return PiBasisCheck(False, 1 << x)
-        return PiBasisCheck(True, None)
-    for o in space.opens:
-        if o and not any(mm & o == mm for mm in members):
-            return PiBasisCheck(False, o)
+    # merge two (popcount, mask)-sorted lists; hashing large masks is slower
+    have = iter(sorted(members, key=_order))
+    mm = next(have, None)
+    for u in minimal_open_sets(space).members:
+        while mm is not None and _order(mm) < _order(u):
+            mm = next(have, None)
+        if mm != u:
+            return PiBasisCheck(False, u)
     return PiBasisCheck(True, None)
 
 
@@ -321,13 +302,12 @@ def minimal_open_sets(space: FiniteSpace) -> PiBasis:
     Its cardinality is the pi-weight of the space, and every pi-basis must
     contain each of these sets.
     """
-    if space.all_open:
-        return PiBasis(space, tuple(1 << x for x in range(space.n)))
-    found: list[int] = []
-    for o in space.opens:  # popcount-sorted, so subsets come first
-        if o and not any(mm & o == mm for mm in found):
-            found.append(o)
-    return PiBasis(space, tuple(found))
+    nbhds = space.nbhds
+    # U = nbhds[x] is minimal when every point of U has U as its neighborhood;
+    # keeping it only at its lowest point lists it once
+    found = [u for x, u in enumerate(nbhds)
+             if (u & -u).bit_length() - 1 == x and all(nbhds[y] == u for y in _bits(u))]
+    return PiBasis(space, tuple(sorted(found, key=_order)))
 
 
 def pi_weight(space: FiniteSpace) -> int:
@@ -347,15 +327,14 @@ def preimage_mask(point_map: PointMap, target_mask: int) -> int:
 
 
 def is_continuous_map(point_map: PointMap) -> ContinuityCheck:
-    """Preimage of every target open must be open in the source."""
-    src, tgt = point_map.source, point_map.target
-    if tgt.all_open:
-        # closure under unions: singleton preimages suffice
-        targets = (1 << y for y in range(tgt.n))
-    else:
-        targets = tgt.opens
-    for o in targets:
-        if not src.is_open(preimage_mask(point_map, o)):
+    """Preimage of every target open must be open in the source.
+
+    Preimages commute with unions, so the target's neighborhoods suffice;
+    checked in (popcount, mask) order, the first failure is also the first
+    failing open in enumeration order.
+    """
+    for o in sorted(set(point_map.target.nbhds), key=_order):
+        if not point_map.source.is_open(preimage_mask(point_map, o)):
             return ContinuityCheck(False, o)
     return ContinuityCheck(True, None)
 
@@ -388,8 +367,6 @@ def zero_level_embedding(cube: FiniteSpace, model: FiniteSpace) -> PointMap:
 
 def space_to_text(space: FiniteSpace) -> str:
     """One ``points: n`` line, then one hexadecimal mask per open set."""
-    if not space.materialized():
-        raise TopologyError("cannot serialize a space without materialized opens")
     lines = [f"points: {space.n}"]
     lines.extend(format(o, "#x") for o in space.opens)
     return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -79,6 +81,28 @@ class TestRunScenario:
         cfg = ScenarioConfig("ck_cover", {"nodes": 6, "lam": 1.2, "trials": 40}, 5)
         a = run_scenario(cfg, jobs=1).to_dict()
         b = run_scenario(cfg, jobs=3).to_dict()
+        a.pop("wall_time_s")
+        b.pop("wall_time_s")
+        assert a == b
+
+    @pytest.mark.parametrize("jobs, cpus, trials, workers", [
+        (1000, 64, 5, 5), (1000, 3, 40, 3), (4, 64, 40, 4), (4, 1, 40, None)])
+    def test_pool_workers_capped(self, monkeypatch, jobs, cpus, trials, workers):
+        started = []
+
+        class InProcessPool(concurrent.futures.Executor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = ScenarioConfig("ck_cover", {"nodes": 4, "lam": 1.2, "trials": trials}, 5)
+        a = run_scenario(cfg, jobs=jobs).to_dict()
+        assert started == ([workers] if workers else [])
+        b = run_scenario(cfg, jobs=1).to_dict()
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert a == b
@@ -205,14 +229,44 @@ class TestCli:
         {"scenario": "lp_operator", "params": {"lam": "inf"}, "seed": 1},
         {"scenario": "ck_falsify", "params": {"lam": "inf"}, "seed": 1},
         {"scenario": "ck_cover", "params": {"trials": 2.9}, "seed": 1},
+        {"scenario": "topology", "params": {"kind": "sierpinski"}, "seed": 2.9},
+        {"scenario": "topology", "params": {"kind": "sierpinski"}, "seed": True},
+        {"scenario": "ck_cover", "params": {"trials": True}, "seed": 1},
+        {"scenario": "ck_cover", "params": {"mode": "lipschitz", "slope": True},
+         "seed": 1},
+        {"scenario": "rescale", "params": {"r_star": False}, "seed": 1},
+        {"scenario": "lemma_scaling", "params": {"p": True}, "seed": 1},
     ], ids=["ckx_r_star_above_gap", "lam_not_a_number", "topology_too_large",
             "seed_not_an_integer", "nodes_null", "lam_null", "p_null",
             "block_not_a_pair", "block_exponent_null", "params_not_an_object",
             "scenario_not_a_string", "hilbert_delta_above_bound", "slope_infinite",
-            "lp_operator_lam_infinite", "ck_falsify_lam_infinite", "trials_fractional"])
+            "lp_operator_lam_infinite", "ck_falsify_lam_infinite", "trials_fractional",
+            "seed_fractional", "seed_bool", "trials_bool", "slope_bool", "r_star_bool",
+            "p_bool"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, payload):
         assert cli.main(["run", "--config", self.write_cfg(tmp_path, payload)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_malformed_jobs_env_exit_two(self, tmp_path, capsys, monkeypatch):
+        cfg = self.write_cfg(tmp_path, {"scenario": "topology", "params": {}, "seed": 1})
+        monkeypatch.setenv("BCPLAB_JOBS", "abc")
+        assert cli.main(["run", "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_jobs_flag_wins_over_env(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def fake_run(cfg, jobs):
+            seen.append(jobs)
+            return run_scenario(cfg)
+
+        monkeypatch.setattr(cli, "run_scenario", fake_run)
+        monkeypatch.setenv("BCPLAB_JOBS", "2")
+        cfg = self.write_cfg(tmp_path, {"scenario": "topology", "params": {}, "seed": 1})
+        assert cli.main(["run", "--config", cfg, "--jobs", "1"]) == 0
+        assert cli.main(["run", "--config", cfg]) == 0
+        assert seen == [1, 2]
+        capsys.readouterr()
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["run", "--config", "/nonexistent.json"]) == 2

@@ -20,6 +20,13 @@ def exhaustive_pibasis(space, members):
     return True, None
 
 
+def generated_spaces(max_n):
+    """Spaces on n <= max_n points generated by random masks."""
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.integers(1, (1 << n) - 1), max_size=6).map(
+        lambda gens: tp.space_from_generators(tuple(range(n)), gens)))
+
+
 def preimage(pm, mask):
     out = 0
     for x, t in enumerate(pm.assignment):
@@ -43,10 +50,16 @@ class TestBuilders:
 
     def test_discrete_cube_above_materialization(self):
         s = tp.discrete_cube(5)
-        assert s.all_open and not s.materialized()
         assert s.is_open(0b1011)
         with pytest.raises(tp.TopologyError):
             tp.space_to_text(s)
+
+    def test_discrete_cube_10_without_opens(self):
+        s = tp.discrete_cube(10)
+        basis = tp.minimal_open_sets(s)
+        assert len(basis.members) == 1024
+        assert tp.is_pibasis(s, basis).holds
+        assert "opens" not in vars(s)  # the open family was never built
 
     def test_sierpinski(self):
         s = tp.sierpinski()
@@ -104,6 +117,19 @@ class TestProducts:
         assert check.holds
         # oracle agreement
         assert exhaustive_pibasis(prod, rects.members) == (True, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_product_matches_materialized_rectangles(self, data):
+        a, b = data.draw(generated_spaces(3)), data.draw(generated_spaces(3))
+        prod = tp.product_space(a, b)
+        unions = {0}
+        for u in a.opens:
+            for v in b.opens:
+                rect = sum(v << (i * b.n) for i in range(a.n) if (u >> i) & 1)
+                unions |= {o | rect for o in unions}
+        assert set(prod.opens) == unions
+        tp.check_invariants(prod)
 
     def test_rectangle_count(self):
         a = tp.discrete_cube(1)
@@ -257,6 +283,10 @@ class TestSerialization:
         assert back.n == s.n
         assert set(back.opens) == set(s.opens)
 
+    def test_too_many_points_rejected(self):
+        with pytest.raises(tp.TopologyError):
+            tp.space_from_text("points: 21\n0x0\n")
+
     def test_header_required(self):
         with pytest.raises(tp.TopologyError):
             tp.space_from_text("0x3\n0x0\n")
@@ -278,3 +308,27 @@ def test_generated_spaces_satisfy_invariants(n, gens):
     basis = tp.minimal_open_sets(space)
     assert tp.is_pibasis(space, basis).holds
     assert sorted(basis.members) == exhaustive_minimal(space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_neighborhood_checks_match_exhaustive_scans(data):
+    space = data.draw(generated_spaces(6))
+    opens = set(space.opens)
+    assert all(space.is_open(mask) == (mask in opens) for mask in range(-1, 2 << space.n))
+
+    basis = tp.minimal_open_sets(space).members
+    assert list(basis) == sorted(exhaustive_minimal(space), key=lambda m: (m.bit_count(), m))
+
+    nonempty = [o for o in space.opens if o]
+    family = data.draw(st.lists(st.sampled_from(nonempty), max_size=8))
+    check = tp.is_pibasis(space, family)
+    assert (check.holds, check.witness) == exhaustive_pibasis(space, family)
+
+    target = data.draw(generated_spaces(4))
+    assignment = data.draw(st.lists(st.integers(0, target.n - 1),
+                                    min_size=space.n, max_size=space.n))
+    pm = tp.PointMap(space, target, tuple(assignment))
+    witness = next((o for o in target.opens if preimage(pm, o) not in opens), None)
+    check = tp.is_continuous_map(pm)
+    assert (check.continuous, check.witness) == (witness is None, witness)
