@@ -242,8 +242,7 @@ def ckx_transfer(cov: BallCovering, m_max: int = 64) -> CkxTransferResult:
     if not isinstance(space, LinfSumSpace) or len(set(space.blocks)) != 1:
         raise ValueError("transfer needs a covering over identical X blocks")
     x_space = space.blocks[0]
-    from .spaces import dim as _dim
-    x_dim = _dim(x_space)
+    x_dim = x_space.dim
     n_nodes = len(space.blocks)
     x_balls = []
     h_vectors = []

@@ -184,14 +184,14 @@ def _boyd_ascent(A: np.ndarray, q: float, p: float) -> tuple:
     while len(cols) < _RESTARTS:
         cols.append(rng.standard_normal(n))
     X = np.stack(cols[:_RESTARTS], axis=1)
-    X = X / _col_lp_norms(X, q)
+    X = X / _lp_norms(X, q, 0)
     qd_pow = 1.0 / (q - 1.0)
     prev = np.full(X.shape[1], -1.0)
     best_val, best_x = 0.0, X[:, 0].copy()
     converged = np.zeros(X.shape[1], dtype=bool)
     for _ in range(_MAX_ITERS):
         Y = A @ X
-        vals = _col_lp_norms(Y, p).ravel()
+        vals = _lp_norms(Y, p, 0)
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_x = float(vals[k]), X[:, k].copy()
@@ -201,11 +201,11 @@ def _boyd_ascent(A: np.ndarray, q: float, p: float) -> tuple:
         prev = vals
         Z = A.T @ (np.sign(Y) * np.abs(Y) ** (p - 1.0))
         W = np.sign(Z) * np.abs(Z) ** qd_pow
-        nrms = _col_lp_norms(W, q)
-        dead = (nrms.ravel() <= 0.0)
+        nrms = _lp_norms(W, q, 0)
+        dead = (nrms <= 0.0)
         if dead.any():
             converged |= dead
-            nrms[:, dead] = 1.0
+            nrms[dead] = 1.0
         X = W / nrms
     else:
         warnings.warn("operator norm ascent hit the iteration cap",
@@ -213,15 +213,20 @@ def _boyd_ascent(A: np.ndarray, q: float, p: float) -> tuple:
     return best_val, best_x
 
 
-def _col_lp_norms(X: np.ndarray, p: float) -> np.ndarray:
+def _lp_norms(X: np.ndarray, p: float, axis: int) -> np.ndarray:
+    """lp norms along ``axis``, the root taken with numpy's array power.
+
+    ``spaces.lp_norm`` takes the root with the scalar pow; the two can
+    differ in the last ulp, so each kernel keeps its own root.
+    """
     a = np.abs(X)
     if p == math.inf:
-        return a.max(axis=0, keepdims=True)
+        return a.max(axis=axis)
     if p == 1.0:
-        return a.sum(axis=0, keepdims=True)
+        return a.sum(axis=axis)
     if p == 2.0:
-        return np.sqrt((a * a).sum(axis=0, keepdims=True))
-    return (a ** p).sum(axis=0, keepdims=True) ** (1.0 / p)
+        return np.sqrt((a * a).sum(axis=axis))
+    return (a ** p).sum(axis=axis) ** (1.0 / p)
 
 
 def operator_norm_bruteforce(A, q: float, p: float, step: float = 0.01) -> float:
@@ -249,21 +254,8 @@ def operator_norm_bruteforce(A, q: float, p: float, step: float = 0.01) -> float
             face[:, cols] = grid
             faces.append(face)
     X = np.concatenate(faces)
-    if q == math.inf:
-        nrms = np.abs(X).max(axis=1)
-    elif q == 1.0:
-        nrms = np.abs(X).sum(axis=1)
-    else:
-        nrms = (np.abs(X) ** q).sum(axis=1) ** (1.0 / q)
-    X = X / nrms[:, None]
-    Y = X @ A.T
-    if p == math.inf:
-        vals = np.abs(Y).max(axis=1)
-    elif p == 1.0:
-        vals = np.abs(Y).sum(axis=1)
-    else:
-        vals = (np.abs(Y) ** p).sum(axis=1) ** (1.0 / p)
-    return float(vals.max())
+    X = X / _lp_norms(X, q, 1)[:, None]
+    return float(_lp_norms(X @ A.T, p, 1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -660,17 +652,11 @@ def _separating_direction(space: LpSpace, directions: np.ndarray,
         remaining -= take
         if space.p == math.inf:
             block = rng.uniform(-1.0, 1.0, size=(take, n))
-            nrms = np.abs(block).max(axis=1)
         else:
             mags = rng.gamma(1.0 / space.p, size=(take, n)) ** (1.0 / space.p)
             signs = rng.integers(0, 2, size=(take, n)) * 2 - 1
             block = signs * mags
-            if space.p == 2.0:
-                nrms = np.sqrt((block * block).sum(axis=1))
-            elif space.p == 1.0:
-                nrms = np.abs(block).sum(axis=1)
-            else:
-                nrms = (np.abs(block) ** space.p).sum(axis=1) ** (1.0 / space.p)
+        nrms = _lp_norms(block, space.p, 1)
         ok = nrms > 1e-12
         block = block[ok] / nrms[ok, None]
         scores = np.abs(block @ directions.T).min(axis=1)
@@ -698,31 +684,20 @@ def linf_sum_cover(coverings) -> BallCovering:
     embedded centers live in a single block each, the finite shadow of
     choosing the centers inside the c0-sum.
     """
-    from .spaces import dim as _dim
-
     coverings = list(coverings)
-    if not coverings:
-        raise ValueError("need at least one block covering")
-    blocks = tuple(c.space for c in coverings)
-    sum_space = linf_sum(blocks)
-    offsets = []
-    start = 0
-    for b in blocks:
-        offsets.append(start)
-        start += _dim(b)
-    full_dim = start
+    sum_space = linf_sum(c.space for c in coverings)
     balls = []
-    for k, cov in enumerate(coverings):
+    for k, (cov, (block, s)) in enumerate(zip(coverings, sum_space.slices)):
         if cov.origin_gap <= STRICT_SLACK:
             raise ValueError(f"block {k} covering is not admissible")
         for b in cov.balls:
-            nrm = norm_of(blocks[k], b.center)
+            nrm = norm_of(block, b.center)
             mu = nrm - b.radius
             t = max(1.0, (1.0 + mu) / nrm)
             scaled = t * b.center
-            new_norm = norm_of(blocks[k], scaled)
-            embedded = np.zeros(full_dim)
-            embedded[offsets[k]:offsets[k] + _dim(blocks[k])] = scaled
+            new_norm = norm_of(block, scaled)
+            embedded = np.zeros(sum_space.dim)
+            embedded[s] = scaled
             balls.append((embedded, new_norm - mu))
     return make_covering(sum_space, balls)
 

@@ -1,5 +1,9 @@
 """Finite-dimensional normed space models, sphere samplers, ball coverings.
 
+Each space kind (lp, the sup-norm grid l_inf^n with an optional slope-bounded
+mode, sup-sums, operator spaces) owns its dimension, norms, sampler and JSON
+form; ``norm_of``, ``norms_rows`` and ``sample_sphere`` delegate to it.
+
 Tolerance policy (local decision, echoed in reports): a strict inequality
 counts as verified only when the slack exceeds ``STRICT_SLACK``; slack in
 (0, STRICT_SLACK] is a degenerate pass. Identity-level arithmetic is
@@ -9,7 +13,7 @@ checked at ``ARITHMETIC_TOL``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +29,18 @@ _BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
-# space models
+# space models: each kind owns its dimension, norms, sampler and JSON form
+
+
+def lp_norm(v: np.ndarray, p: float) -> float:
+    a = np.abs(v)
+    if p == math.inf:
+        return float(a.max()) if a.size else 0.0
+    if p == 1.0:
+        return float(a.sum())
+    if p == 2.0:
+        return float(np.sqrt((a * a).sum()))
+    return float((a ** p).sum() ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -33,24 +48,107 @@ class LpSpace:
     n: int
     p: float
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("dimension must be at least 1")
+
+    @property
+    def dim(self) -> int:
+        return self.n
+
+    def norm(self, v: np.ndarray) -> float:
+        return lp_norm(v, self.p)
+
+    def norms(self, rows: np.ndarray) -> np.ndarray:
+        a = np.abs(rows)
+        p = self.p
+        if p == math.inf:
+            return a.max(axis=1)
+        if p == 1.0:
+            return a.sum(axis=1)
+        if p == 2.0:
+            return np.sqrt((a * a).sum(axis=1))
+        # the root is taken with the scalar pow, as in lp_norm: numpy's array
+        # power can differ from it in the last ulp
+        return np.array([s ** (1.0 / p) for s in (a ** p).sum(axis=1).tolist()])
+
+    def sample(self, rng, seed: int) -> np.ndarray:
+        while True:
+            if self.p == math.inf:
+                v = rng.uniform(-1.0, 1.0, size=self.n)
+            else:
+                mags = rng.gamma(1.0 / self.p, size=self.n) ** (1.0 / self.p)
+                v = (rng.integers(0, 2, size=self.n) * 2 - 1) * mags
+            nrm = lp_norm(v, self.p)
+            if nrm > 1e-12:
+                return v / nrm
+
+    def to_dict(self) -> dict:
+        return {"kind": "lp", "n": self.n, "p": "inf" if self.p == math.inf else self.p}
+
 
 @dataclass(frozen=True)
-class SupGridSpace:
-    """Grid model of continuous functions under the sup norm.
+class SupGridSpace(LpSpace):
+    """Grid model of continuous functions under the sup norm: l_inf^n.
 
-    ``discrete`` mode admits every node vector. ``lipschitz`` mode restricts
-    to piecewise-linear functions on an equispaced grid of [0, 1]: slope
-    bound ``slope`` means node increments of at most slope / n.
+    ``discrete`` mode admits every node vector, C(K) for a discrete K of n
+    points. ``lipschitz`` mode restricts to piecewise-linear functions on an
+    equispaced grid of [0, 1]: slope bound ``slope`` means node increments
+    of at most slope / n.
     """
 
-    n: int
+    p: float = field(default=math.inf, init=False, repr=False)
     mode: str = "discrete"
     slope: float | None = None
+
+    def sample(self, rng, seed: int) -> np.ndarray:
+        if self.mode == "discrete":
+            return LpSpace.sample(self, rng, seed)
+        bound = grid_increment_bound(self)
+        start = float(rng.uniform(0.5, 1.0)) * (1.0 if rng.integers(2) else -1.0)
+        increments = rng.uniform(-bound, bound, size=self.n - 1)
+        v = np.concatenate([[start], start + np.cumsum(increments)])
+        return v / np.abs(v).max()
+
+    def to_dict(self) -> dict:
+        d = {"kind": "sup_grid", "n": self.n, "mode": self.mode}
+        return d if self.slope is None else {**d, "slope": self.slope}
 
 
 @dataclass(frozen=True)
 class LinfSumSpace:
+    """Sup-sum of the block spaces: the norm is the largest block norm."""
+
     blocks: tuple
+
+    @cached_property
+    def slices(self) -> tuple:
+        """(block, coordinate slice) for each block, in order."""
+        out, start = [], 0
+        for b in self.blocks:
+            out.append((b, slice(start, start + b.dim)))
+            start += b.dim
+        return tuple(out)
+
+    @property
+    def dim(self) -> int:
+        return self.slices[-1][1].stop
+
+    def norm(self, v: np.ndarray) -> float:
+        return max(norm_of(b, v[s]) for b, s in self.slices)
+
+    def norms(self, rows: np.ndarray) -> np.ndarray:
+        per_block = [norms_rows(b, rows[:, s]) for b, s in self.slices]
+        return np.max(np.stack(per_block, axis=1), axis=1)
+
+    def sample(self, rng, seed: int) -> np.ndarray:
+        scales = rng.uniform(0.0, 1.0, size=len(self.blocks))
+        scales[int(rng.integers(len(self.blocks)))] = 1.0
+        return np.concatenate([scales[k] * sample_sphere(b, derive_seed(seed, k + 1))
+                               for k, b in enumerate(self.blocks)])
+
+    def to_dict(self) -> dict:
+        return {"kind": "linf_sum", "blocks": [b.to_dict() for b in self.blocks]}
 
 
 @dataclass(frozen=True)
@@ -60,10 +158,28 @@ class OperatorSpace:
     domain: LpSpace
     codomain: LpSpace
 
+    @property
+    def dim(self) -> int:
+        return self.domain.n * self.codomain.n
+
+    def norm(self, v: np.ndarray) -> float:
+        from .op_cover import operator_norm  # norm oracle lives with the operator machinery
+        mat = v.reshape(self.codomain.n, self.domain.n)
+        return operator_norm(mat, self.domain.p, self.codomain.p)
+
+    def norms(self, rows: np.ndarray) -> np.ndarray:
+        return np.array([norm_of(self, r) for r in rows])
+
+    def sample(self, rng, seed: int) -> np.ndarray:
+        mat = rng.standard_normal((self.codomain.n, self.domain.n))
+        return (mat / norm_of(self, mat.ravel())).ravel()
+
+    def to_dict(self) -> dict:
+        return {"kind": "operator", "domain": self.domain.to_dict(),
+                "codomain": self.codomain.to_dict()}
+
 
 def lp(n: int, p: float) -> LpSpace:
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
     if not (p >= 1):
         raise ValueError("exponent must satisfy p >= 1 (math.inf allowed)")
     return LpSpace(n, float(p))
@@ -78,86 +194,27 @@ def sup_grid(n: int, mode: str = "discrete", slope: float | None = None) -> SupG
 
 
 def linf_sum(blocks) -> LinfSumSpace:
-    return LinfSumSpace(tuple(blocks))
+    blocks = tuple(blocks)
+    if not blocks:
+        raise ValueError("a sup-sum needs at least one block")
+    return LinfSumSpace(blocks)
 
 
 def operator_space(domain: LpSpace, codomain: LpSpace) -> OperatorSpace:
     return OperatorSpace(domain, codomain)
 
 
-def dim(space) -> int:
-    if isinstance(space, (LpSpace, SupGridSpace)):
-        return space.n
-    if isinstance(space, LinfSumSpace):
-        return sum(dim(b) for b in space.blocks)
-    if isinstance(space, OperatorSpace):
-        return space.domain.n * space.codomain.n
-    raise TypeError(f"not a space model: {space!r}")
-
-
-def block_slices(space: LinfSumSpace):
-    out, start = [], 0
-    for b in space.blocks:
-        d = dim(b)
-        out.append((b, slice(start, start + d)))
-        start += d
-    return out
-
-
-# ---------------------------------------------------------------------------
-# norms
-
-
-def lp_norm(v: np.ndarray, p: float) -> float:
-    a = np.abs(v)
-    if p == math.inf:
-        return float(a.max()) if a.size else 0.0
-    if p == 1.0:
-        return float(a.sum())
-    if p == 2.0:
-        return float(np.sqrt((a * a).sum()))
-    return float((a ** p).sum() ** (1.0 / p))
-
-
 def norm_of(space, v) -> float:
     """Norm oracle for every space kind; zero only at the zero vector."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (dim(space),):
-        raise ValueError(f"vector has shape {v.shape}, space needs ({dim(space)},)")
-    if isinstance(space, LpSpace):
-        return lp_norm(v, space.p)
-    if isinstance(space, SupGridSpace):
-        return float(np.abs(v).max())
-    if isinstance(space, LinfSumSpace):
-        return max(norm_of(b, v[s]) for b, s in block_slices(space))
-    if isinstance(space, OperatorSpace):
-        from .op_cover import operator_norm  # norm oracle lives with the operator machinery
-        mat = v.reshape(space.codomain.n, space.domain.n)
-        return operator_norm(mat, space.domain.p, space.codomain.p)
-    raise TypeError(f"not a space model: {space!r}")
+    if v.shape != (space.dim,):
+        raise ValueError(f"vector has shape {v.shape}, space needs ({space.dim},)")
+    return space.norm(v)
 
 
 def norms_rows(space, rows: np.ndarray) -> np.ndarray:
     """Vectorized ``norm_of`` over the rows of a 2-D array."""
-    rows = np.asarray(rows, dtype=float)
-    if isinstance(space, LpSpace):
-        a = np.abs(rows)
-        p = space.p
-        if p == math.inf:
-            return a.max(axis=1)
-        if p == 1.0:
-            return a.sum(axis=1)
-        if p == 2.0:
-            return np.sqrt((a * a).sum(axis=1))
-        # the root is taken with the scalar pow, as in lp_norm: numpy's array
-        # power can differ from it in the last ulp
-        return np.array([s ** (1.0 / p) for s in (a ** p).sum(axis=1).tolist()])
-    if isinstance(space, SupGridSpace):
-        return np.abs(rows).max(axis=1)
-    if isinstance(space, LinfSumSpace):
-        per_block = [norms_rows(b, rows[:, s]) for b, s in block_slices(space)]
-        return np.max(np.stack(per_block, axis=1), axis=1)
-    return np.array([norm_of(space, r) for r in rows])
+    return space.norms(np.asarray(rows, dtype=float))
 
 
 def grid_increment_bound(space: SupGridSpace) -> float:
@@ -172,10 +229,6 @@ def is_admissible_grid(space: SupGridSpace, v, factor: float = 1.0) -> bool:
     return bool(np.all(np.abs(np.diff(v)) <= factor * grid_increment_bound(space) + 1e-12))
 
 
-# ---------------------------------------------------------------------------
-# sphere samplers
-
-
 def sample_sphere(space, seed: int) -> np.ndarray:
     """Deterministic unit-sphere sample; |norm - 1| <= 1e-12.
 
@@ -184,43 +237,7 @@ def sample_sphere(space, seed: int) -> np.ndarray:
     draw node increments within the slope bound and start at magnitude at
     least 1/2, which caps the post-normalization slope at twice the bound.
     """
-    rng = np.random.default_rng(seed)
-    if isinstance(space, LpSpace):
-        return _sample_lp(rng, space.n, space.p)
-    if isinstance(space, SupGridSpace):
-        if space.mode == "discrete":
-            return _sample_lp(rng, space.n, math.inf)
-        bound = grid_increment_bound(space)
-        start = float(rng.uniform(0.5, 1.0)) * (1.0 if rng.integers(2) else -1.0)
-        increments = rng.uniform(-bound, bound, size=space.n - 1)
-        v = np.concatenate([[start], start + np.cumsum(increments)])
-        return v / np.abs(v).max()
-    if isinstance(space, LinfSumSpace):
-        parts = []
-        scales = rng.uniform(0.0, 1.0, size=len(space.blocks))
-        scales[int(rng.integers(len(space.blocks)))] = 1.0
-        for k, (b, _) in enumerate(block_slices(space)):
-            parts.append(scales[k] * sample_sphere(b, derive_seed(seed, k + 1)))
-        return np.concatenate(parts)
-    if isinstance(space, OperatorSpace):
-        mat = rng.standard_normal((space.codomain.n, space.domain.n))
-        return (mat / norm_of(space, mat.ravel())).ravel()
-    raise TypeError(f"not a space model: {space!r}")
-
-
-def _sample_lp(rng, n: int, p: float) -> np.ndarray:
-    while True:
-        if p == math.inf:
-            v = rng.uniform(-1.0, 1.0, size=n)
-            nrm = np.abs(v).max()
-        else:
-            mags = rng.gamma(1.0 / p, size=n) ** (1.0 / p)
-            signs = rng.integers(0, 2, size=n) * 2 - 1
-            v = signs * mags
-            nrm = lp_norm(v, p)
-        if nrm > 1e-12:
-            return v / nrm
-
+    return space.sample(np.random.default_rng(seed), seed)
 
 # ---------------------------------------------------------------------------
 # balls, coverings, certificates
@@ -402,23 +419,6 @@ def rescale_covering(c: BallCovering, r_star: float) -> BallCovering:
 # JSON serialization (decimal, round-trip exact via repr)
 
 
-def space_to_dict(space) -> dict:
-    if isinstance(space, LpSpace):
-        return {"kind": "lp", "n": space.n, "p": "inf" if space.p == math.inf else space.p}
-    if isinstance(space, SupGridSpace):
-        d = {"kind": "sup_grid", "n": space.n, "mode": space.mode}
-        if space.slope is not None:
-            d["slope"] = space.slope
-        return d
-    if isinstance(space, LinfSumSpace):
-        return {"kind": "linf_sum", "blocks": [space_to_dict(b) for b in space.blocks]}
-    if isinstance(space, OperatorSpace):
-        return {"kind": "operator",
-                "domain": space_to_dict(space.domain),
-                "codomain": space_to_dict(space.codomain)}
-    raise TypeError(f"not a space model: {space!r}")
-
-
 def space_from_dict(d: dict):
     kind = d["kind"]
     if kind == "lp":
@@ -435,7 +435,7 @@ def space_from_dict(d: dict):
 
 def covering_to_dict(c: BallCovering) -> dict:
     return {
-        "space": space_to_dict(c.space),
+        "space": c.space.to_dict(),
         "balls": [{"center": list(map(float, b.center)), "radius": b.radius}
                   for b in c.balls],
         "radius_bound": c.radius_bound,

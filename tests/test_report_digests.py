@@ -8,11 +8,20 @@ change that alters reports on purpose re-records them with
     PYTHONPATH=src python tests/test_report_digests.py
 
 and names every changed digest and its reason.
+
+The digests hold for the numpy build they were recorded on: numpy 2.4.6,
+whose float64 ``power`` dispatched to its ``X86_V4`` (AVX-512) kernel. Other
+kernels can round a power differently in the last ulp. With the AVX-512
+kernels switched off (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR"``), ``power`` runs the baseline kernel and 6 of the 36 digests
+differ: ``ckx_p3``, ``lemma_n{2,8,12}_p1.5``, ``linf_sum`` and
+``lp_op_q3_p1.5``. A failure names the kernel the running process uses.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from bcplab.harness import ScenarioConfig, run_scenario
@@ -110,9 +119,21 @@ DIGESTS = {
 }
 
 
+def power_target() -> str:
+    """The CPU target of numpy's float64 ``power`` in this process."""
+    introspect = getattr(np.lib, "introspect", None)  # numpy >= 2.0
+    if introspect is None:
+        return "unknown"
+    info = introspect.opt_func_info(func_name="^power$", signature="float64")
+    return ", ".join(t["current"] for t in info.get("power", {}).values()) or "unknown"
+
+
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_report_digest_frozen(label):
-    assert report_digest(label) == DIGESTS[label]
+    assert report_digest(label) == DIGESTS[label], (
+        f"digest of {label!r} changed; the digests were recorded with numpy 2.4.6 and "
+        f"float64 power on X86_V4, and this process runs numpy {np.__version__} "
+        f"with float64 power on {power_target()}")
 
 
 @pytest.mark.parametrize("label,jobs", PARALLEL)

@@ -8,25 +8,7 @@ from hypothesis import strategies as st
 
 from bcplab import op_cover as oc
 from bcplab import spaces as sp
-
-
-def _certify_point_reference(c, v):
-    """The first-hit rule one ball at a time: the reference for the block kernel."""
-    v = np.asarray(v, dtype=float)
-    boundary = None
-    min_excess, nearest = math.inf, -1
-    for k, b in enumerate(c.balls):
-        d = sp.norm_of(c.space, v - b.center)
-        excess = d - b.radius
-        if excess < min_excess:
-            min_excess, nearest = excess, k
-        if d <= b.radius - sp.STRICT_SLACK:
-            return sp.CoverCertificate(v, k, d, b.radius - d)
-        if d <= b.radius and boundary is None:
-            boundary = sp.CoverCertificate(v, k, d, b.radius - d)
-    if boundary is not None:
-        return boundary
-    raise sp.NotCovered(min_excess, nearest)
+from reference import certify_point as _certify_point_reference
 
 
 def _outcome(certify, c, v):
@@ -53,6 +35,12 @@ class TestNorms:
         with pytest.raises(ValueError):
             sp.norm_of(sp.lp(3, 2), [1.0, 2.0])
 
+    def test_empty_spaces_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            sp.sup_grid(0)
+        with pytest.raises(ValueError, match="at least one block"):
+            sp.linf_sum([])
+
     def test_zero_iff_zero(self):
         space = sp.lp(4, 1.7)
         assert sp.norm_of(space, np.zeros(4)) == 0.0
@@ -65,7 +53,7 @@ class TestNorms:
     ])
     def test_triangle_and_homogeneity_batch(self, space):
         rng = np.random.default_rng(101)
-        n = sp.dim(space)
+        n = space.dim
         X = rng.standard_normal((100_000, n))
         Y = rng.standard_normal((100_000, n))
         t = rng.uniform(-3, 3, size=100_000)
@@ -93,7 +81,7 @@ class TestNorms:
         rng = np.random.default_rng(7)
         for space in (sp.lp(3, 1.3), sp.sup_grid(3),
                       sp.linf_sum([sp.lp(2, 1), sp.lp(1, 2)])):
-            X = rng.standard_normal((50, sp.dim(space)))
+            X = rng.standard_normal((50, space.dim))
             batch = sp.norms_rows(space, X)
             for i in range(50):
                 assert batch[i] == pytest.approx(sp.norm_of(space, X[i]), abs=1e-14)
@@ -236,7 +224,7 @@ class TestCertifyKernel:
         sp.sup_grid(6), sp.linf_sum([sp.lp(3, 1.5), sp.lp(3, 3.0), sp.lp(2, 1.0)]),
     ], ids=repr)
     def test_matches_reference(self, space):
-        cov = self._random_covering(space, 3 * sp._BLOCK, seed=sp.dim(space))
+        cov = self._random_covering(space, 3 * sp._BLOCK, seed=space.dim)
         outcomes = []
         for s in range(120):
             v = sp.sample_sphere(space, s)
@@ -410,5 +398,5 @@ class TestSerialization:
 
     def test_space_round_trip_infinite_exponent(self):
         space = sp.operator_space(sp.lp(3, math.inf), sp.lp(2, 2))
-        back = sp.space_from_dict(sp.space_to_dict(space))
+        back = sp.space_from_dict(space.to_dict())
         assert back == space
